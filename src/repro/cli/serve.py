@@ -163,12 +163,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 continue
             try:
                 query = _parse_query(line, query_X)
-            except (ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
+                pending = batcher.submit(query["indices"], query["values"])
+            except (ValueError, TypeError, KeyError, IndexError, json.JSONDecodeError) as exc:
                 _flush(block=True)  # keep responses aligned with inputs
                 print(json.dumps({"error": str(exc)}))
                 continue
-            outstanding.append((batcher.submit(query["indices"], query["values"]),
-                                query["id"]))
+            outstanding.append((pending, query["id"]))
             _flush(block=False)
         _flush(block=True)
     finally:

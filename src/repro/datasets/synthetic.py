@@ -18,8 +18,8 @@ IS-ASGD algorithms are sensitive to:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -92,23 +92,32 @@ def _draw_row_support(
     rng: np.random.Generator,
     n_features: int,
     nnz: int,
-    feature_probs: np.ndarray,
+    feature_cdf: np.ndarray,
 ) -> np.ndarray:
-    """Draw ``nnz`` distinct feature indices according to the popularity law."""
+    """Draw ``nnz`` distinct feature indices according to the popularity law.
+
+    ``feature_cdf`` is the normalised cumulative popularity distribution
+    (last entry exactly 1), built once per dataset.  Inverting it with
+    ``searchsorted`` is the same computation ``Generator.choice(...,
+    replace=True, p=...)`` performs internally — same uniforms, same
+    indices — without rebuilding an O(n_features) CDF for every row.
+    Returns exactly ``min(max(1, nnz), n_features)`` sorted, distinct
+    indices.
+    """
     nnz = min(max(1, nnz), n_features)
     if nnz >= n_features:
         return np.arange(n_features, dtype=np.int64)
     # Rejection-free draw: sample extra, de-duplicate, top up uniformly if short.
-    draw = rng.choice(n_features, size=min(n_features, 2 * nnz + 8), replace=True, p=feature_probs)
-    support = np.unique(draw)[:nnz]
+    uniforms = rng.random(min(n_features, 2 * nnz + 8))
+    support = np.unique(feature_cdf.searchsorted(uniforms, side="right"))[:nnz]
     if support.size < nnz:
         remaining = np.setdiff1d(
             rng.choice(n_features, size=min(n_features, 4 * nnz + 16), replace=False),
             support,
             assume_unique=False,
         )
-        support = np.concatenate([support, remaining[: nnz - support.size]])
-    return np.sort(support[:nnz]).astype(np.int64)
+        support = np.sort(np.concatenate([support, remaining[: nnz - support.size]]))
+    return support
 
 
 def make_sparse_classification(
@@ -120,25 +129,36 @@ def make_sparse_classification(
     Labels are in {-1, +1}.  ``w_true`` is the planted ground-truth weight
     vector; it is returned so tests can verify that solvers recover a model
     correlated with it.
+
+    Cost is O(n_features + nnz): the popularity CDF is built once and every
+    row writes straight into preallocated CSR arrays.
     """
     rng = as_rng(seed)
-    feature_probs = _feature_probabilities(spec.n_features, spec.feature_skew)
+    feature_cdf = _feature_probabilities(spec.n_features, spec.feature_skew).cumsum()
+    feature_cdf /= feature_cdf[-1]
     w_true = rng.normal(0.0, 1.0, size=spec.n_features)
 
-    rows = []
     labels = np.empty(spec.n_samples, dtype=np.float64)
     # Per-row nnz: Poisson around the target mean, at least 1.
     row_nnz = np.maximum(1, rng.poisson(lam=spec.nnz_per_sample, size=spec.n_samples))
     # Per-row norm multiplier: log-normal with median 1.
     norm_mult = np.exp(rng.normal(0.0, spec.norm_spread, size=spec.n_samples))
 
+    # Every row gets exactly min(row_nnz, n_features) distinct indices, so
+    # the row pointer is known before any support is drawn.
+    indptr = np.zeros(spec.n_samples + 1, dtype=np.int64)
+    np.cumsum(np.minimum(row_nnz, spec.n_features), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=CSRMatrix.INDEX_DTYPE)
+    data = np.empty(int(indptr[-1]), dtype=np.float64)
+
     for i in range(spec.n_samples):
-        support = _draw_row_support(rng, spec.n_features, int(row_nnz[i]), feature_probs)
+        support = _draw_row_support(rng, spec.n_features, int(row_nnz[i]), feature_cdf)
         values = rng.normal(0.0, 1.0, size=support.size)
         norm = np.linalg.norm(values)
         if norm > 0:
             values = values / norm * norm_mult[i]
-        rows.append((support, values))
+        indices[indptr[i]:indptr[i + 1]] = support
+        data[indptr[i]:indptr[i + 1]] = values
 
         margin = float(np.dot(values, w_true[support]))
         if rng.random() < spec.bias_fraction:
@@ -149,7 +169,15 @@ def make_sparse_classification(
             label = -label
         labels[i] = label
 
-    X = CSRMatrix.from_rows(rows, n_cols=spec.n_features)
+    # Drop exact zeros (a normal draw of exactly 0.0), as CSRMatrix.from_rows does.
+    nonzero = data != 0.0
+    if not nonzero.all():
+        row_of = np.repeat(np.arange(spec.n_samples), np.diff(indptr))
+        kept = np.bincount(row_of[nonzero], minlength=spec.n_samples)
+        np.cumsum(kept, out=indptr[1:])
+        indices, data = indices[nonzero], data[nonzero]
+
+    X = CSRMatrix(data=data, indices=indices, indptr=indptr, n_cols=spec.n_features)
     return X, labels, w_true
 
 

@@ -190,7 +190,11 @@ class ScoringModel:
 def _normalise_query(
     indices: Any, values: Any, n_features: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate one sparse query row into canonical ``(int32, float64)`` arrays."""
+    """Validate one sparse query row into canonical ``(int32, float64)`` arrays.
+
+    Raises :class:`ValueError` for mismatched shapes, out-of-range indices
+    and non-finite values (NaN/±inf would score to a non-JSON margin).
+    """
     idx = np.ascontiguousarray(np.asarray(indices, dtype=np.int64))
     val = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
     if idx.ndim != 1 or val.ndim != 1 or idx.size != val.size:
@@ -202,6 +206,8 @@ def _normalise_query(
         raise ValueError(
             f"query indices out of range for a {n_features}-feature model"
         )
+    if not np.isfinite(val).all():
+        raise ValueError("query values must be finite (got NaN or infinity)")
     return idx.astype(np.int32), val
 
 

@@ -322,6 +322,37 @@ class TestServe:
         # Provenance + queue stats go to stderr, not into the response stream.
         assert "model" in err and "stats" in err
 
+    @pytest.mark.parametrize("bad", [
+        '{"indices": [-1], "values": [1.0]}',
+        '{"indices": [1, 2], "values": [1.0]}',
+        '{"indices": [1], "values": [NaN]}',
+        '{"indices": [1], "values": [-Infinity]}',
+        '{"indices": [null], "values": [1.0]}',
+    ], ids=["negative-index", "length-mismatch", "nan", "infinity", "null-index"])
+    def test_serve_survives_a_bad_query(self, tmp_path, capsys, monkeypatch, bad):
+        import io
+
+        def _reject(constant):
+            raise ValueError(f"non-JSON constant {constant} in serve output")
+
+        store = str(tmp_path / "store")
+        self._train(capsys, store)
+        lines = (
+            '{"indices": [1, 2], "values": [0.25, -0.5], "id": "before"}\n'
+            + bad + "\n"
+            + '{"indices": [3], "values": [1.0], "id": "after"}\n'
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = _run(
+            capsys, "serve", "--dataset", "news20_smoke", "--store", store, "--no-watch",
+        )
+        assert code == 0
+        responses = [json.loads(line, parse_constant=_reject) for line in out.splitlines()]
+        assert len(responses) == 3
+        assert responses[0]["id"] == "before" and "margin" in responses[0]
+        assert "error" in responses[1]
+        assert responses[2]["id"] == "after" and "margin" in responses[2]
+
     def test_serve_limit_stops_reading(self, tmp_path, capsys, monkeypatch):
         import io
 

@@ -118,6 +118,9 @@ def test_normalise_query_validates():
         _normalise_query([0, 5], [1.0, 2.0], n_features=5)
     with pytest.raises(ValueError, match="out of range"):
         _normalise_query([-1], [1.0], n_features=5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            _normalise_query([0, 1], [1.0, bad], n_features=5)
     # An empty row is a valid (zero-margin) query.
     idx, val = _normalise_query([], [], n_features=5)
     assert idx.size == 0 and val.size == 0
