@@ -12,10 +12,10 @@ library reproduces asynchrony at two levels:
   randomised schedule executed in blocks through the kernel backend's batch
   primitives, with the per-sample conflict/staleness accounting replayed
   exactly.  Selected per solver (``async_mode="batched"``) or process-wide
-  via ``REPRO_ASYNC_MODE`` (see :mod:`repro.async_engine.modes`); the
-  per-sample simulator remains the ground truth it is pinned against.
+  via ``REPRO_ASYNC_MODE`` (see :mod:`repro.runtime`); the per-sample
+  simulator remains the ground truth it is pinned against.
 * :mod:`repro.async_engine.threads` — a real ``threading``-based Hogwild
-  backend over a shared NumPy buffer, used to validate that the algorithms
+  engine over a shared NumPy buffer, used to validate that the algorithms
   are genuinely lock-free-safe (it produces correct models, just without
   hardware speedup).
 
@@ -36,27 +36,12 @@ from repro.async_engine.staleness import (
 from repro.async_engine.worker import SimulatedWorker
 from repro.async_engine.events import EpochEvent, IterationEvent
 from repro.async_engine.simulator import AsyncSimulator, SimulationResult
-from repro.async_engine.batched import BatchedSimulator, BatchedUpdateRule
-from repro.async_engine.modes import (
-    ASYNC_MODE_ENV_VAR,
-    DEFAULT_ASYNC_MODE,
-    available_async_modes,
-    default_async_mode,
-    resolve_async_mode,
-    set_default_async_mode,
-)
-from repro.async_engine.threads import HogwildThreadPool, run_hogwild_threads
+from repro.async_engine.batched import BatchedSimulator
+from repro.async_engine.threads import ThreadedRuleEngine
 from repro.async_engine.cost_model import CostModel, CostParameters
 
 __all__ = [
     "BatchedSimulator",
-    "BatchedUpdateRule",
-    "ASYNC_MODE_ENV_VAR",
-    "DEFAULT_ASYNC_MODE",
-    "available_async_modes",
-    "default_async_mode",
-    "resolve_async_mode",
-    "set_default_async_mode",
     "SharedModel",
     "UpdateRecord",
     "StalenessModel",
@@ -69,8 +54,7 @@ __all__ = [
     "IterationEvent",
     "AsyncSimulator",
     "SimulationResult",
-    "HogwildThreadPool",
-    "run_hogwild_threads",
+    "ThreadedRuleEngine",
     "CostModel",
     "CostParameters",
 ]

@@ -49,7 +49,7 @@ the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.async_engine.worker import SimulatedWorker
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
+from repro.rules.base import UpdateRuleKernel
 from repro.runtime.trace_fold import build_schedule, fold_block
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import segment_bool_any
@@ -67,50 +68,6 @@ from repro.utils.rng import RandomState, as_rng
 #: Upper bound on the per-sample history replayed for stale reads; must
 #: match ``AsyncSimulator``'s ``SharedModel(history=min(..., 4096))``.
 _HISTORY_CAP = 4096
-
-
-class BatchedUpdateRule(Protocol):
-    """Computes a whole macro-step of update deltas from gathered rows.
-
-    A batched rule is the macro-step counterpart of
-    :class:`~repro.async_engine.simulator.UpdateRule`: instead of one
-    index-compressed delta per call it returns the per-entry weights for a
-    whole gathered block, to be scatter-added in one kernel call.
-    """
-
-    #: How many update records the per-sample engine writes per iteration
-    #: (1 for SGD-style rules, 2 for SVRG's dense-µ + sparse pair); drives
-    #: the window arithmetic of the conflict replay.
-    records_per_iteration: int
-
-    #: Trace ``grad_nnz`` per iteration as a multiple of ``nnz(x_i)``
-    #: (1 for SGD-style rules, 2 for SVRG's two margin evaluations).
-    grad_nnz_multiplier: int
-
-    #: The dense delta the rule applies once per iteration (SVRG's ``-λµ``),
-    #: or ``None`` for purely sparse rules.
-    dense_delta: Optional[np.ndarray]
-
-    def block_entry_weights(
-        self,
-        *,
-        w: np.ndarray,
-        rows: np.ndarray,
-        y: np.ndarray,
-        margins: np.ndarray,
-        step_weights: np.ndarray,
-        idx: np.ndarray,
-        val: np.ndarray,
-        lengths: np.ndarray,
-    ) -> np.ndarray:
-        """Per-entry additive deltas aligned with the gathered ``(idx, val)``.
-
-        ``margins`` are the block-start margins of ``rows``; the returned
-        array has one weight per gathered entry (already scaled by the step
-        size and importance re-weighting) and is scatter-added into the
-        model by the simulator.
-        """
-        ...
 
 
 @dataclass
@@ -151,8 +108,7 @@ class BatchedSimulator:
     Drop-in counterpart of :class:`~repro.async_engine.simulator.AsyncSimulator`
     (same constructor surface plus ``batch_size`` / ``kernel``), selected per
     solver via ``async_mode="batched"`` or globally via the
-    ``REPRO_ASYNC_MODE`` environment variable (see
-    :mod:`repro.async_engine.modes`).
+    ``REPRO_ASYNC_MODE`` environment variable (see :mod:`repro.runtime`).
 
     Parameters
     ----------
@@ -161,7 +117,8 @@ class BatchedSimulator:
     workers:
         The simulated workers, one per thread.
     update_rule:
-        A :class:`BatchedUpdateRule` (macro-step update computation).
+        The :class:`~repro.rules.base.UpdateRuleKernel` whose
+        ``block_entry_weights`` computes each macro-step.
     staleness:
         Delay model; defaults to ``UniformDelay(num_workers - 1)``.
     seed:
@@ -194,7 +151,7 @@ class BatchedSimulator:
     X: CSRMatrix
     y: np.ndarray
     workers: List[SimulatedWorker]
-    update_rule: BatchedUpdateRule
+    update_rule: UpdateRuleKernel
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     batch_size: Union[int, str] = "auto"
@@ -224,13 +181,11 @@ class BatchedSimulator:
             raise ValueError("batch_size must be a positive int or 'auto'")
         self.kernel = resolve_backend(self.kernel)
         if self.count_sample_draws is None:
-            self.count_sample_draws = bool(
-                getattr(self.update_rule, "counts_sample_draws", True)
-            )
+            self.count_sample_draws = self.update_rule.counts_sample_draws
         if self.epoch_begin is None:
-            self.epoch_begin = getattr(self.update_rule, "epoch_begin", None)
+            self.epoch_begin = self.update_rule.epoch_begin
         if self.epoch_end is None:
-            self.epoch_end = getattr(self.update_rule, "epoch_end", None)
+            self.epoch_end = self.update_rule.epoch_end
         self._w: Optional[np.ndarray] = None
         self._log: Optional[_RecordLog] = None
         self._maxlen = 0
@@ -323,7 +278,7 @@ class BatchedSimulator:
             self._maxlen = min(
                 max(self.staleness.max_delay, 1) * max(self.num_workers, 1), _HISTORY_CAP
             )
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+        rpi = self.update_rule.records_per_iteration
         # A stale read looks back at most max_delay records; keep one extra
         # iteration's worth so block boundaries never truncate a window.
         self._log = _RecordLog(keep=max(min(self.staleness.max_delay, self._maxlen) + rpi, rpi))
@@ -339,8 +294,7 @@ class BatchedSimulator:
 
         for epoch in range(epochs):
             event = EpochEvent(epoch=epoch)
-            if self.epoch_begin is not None:
-                self.epoch_begin(self, epoch, event)
+            self.epoch_begin(self, epoch, event)
             if epoch > 0:
                 for worker in self.workers:
                     worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
@@ -371,8 +325,7 @@ class BatchedSimulator:
                     global_step,
                 )
 
-            if self.epoch_end is not None:
-                self.epoch_end(self, epoch, event)
+            self.epoch_end(self, epoch, event)
             trace.add_epoch(event)
             snapshot = w.copy()
             if keep_epoch_weights:
@@ -411,8 +364,8 @@ class BatchedSimulator:
         # regulariser-at-block-start evaluation) runs as one native call
         # after the conflict replay below.
         fused = (
-            getattr(rule, "frozen_fusable", False)
-            and getattr(self.kernel, "fused_sample_block", False)
+            rule.frozen_fusable
+            and self.kernel.fused_sample_block
             and self.kernel.supports_objective(rule.objective)
         )
         entry_weights = None
@@ -458,7 +411,7 @@ class BatchedSimulator:
         # k reads at record position log.total + rpi*k with at most _maxlen
         # retained records; a requested delay beyond what is retained *and*
         # ever written counts as a truncated reconstruction.
-        rpi = int(getattr(rule, "records_per_iteration", 1))
+        rpi = rule.records_per_iteration
         read_pos = self._log.total - rpi * n_iter + rpi * np.arange(n_iter, dtype=np.int64)
         avail = np.minimum(read_pos, self._maxlen)
         overflows = int(
@@ -503,7 +456,7 @@ class BatchedSimulator:
         records (SVRG applies its dense µ term before the sparse delta, so
         within an iteration the sparse record comes last).
         """
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+        rpi = self.update_rule.records_per_iteration
         n_iter = wids.size
         if rpi == 1:
             return np.ones(n_iter, dtype=np.int8), wids, rows, np.full(n_iter, -1, dtype=np.int64)
@@ -536,7 +489,7 @@ class BatchedSimulator:
         max_delay = int(self.staleness.max_delay)
         if max_delay == 0:
             return conflicts
-        rpi = int(getattr(self.update_rule, "records_per_iteration", 1))
+        rpi = self.update_rule.records_per_iteration
         log = self._log
 
         # Record positions and clamped window lengths.
@@ -649,4 +602,4 @@ class BatchedSimulator:
         return conflicts
 
 
-__all__ = ["BatchedSimulator", "BatchedUpdateRule"]
+__all__ = ["BatchedSimulator"]

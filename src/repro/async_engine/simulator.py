@@ -16,17 +16,16 @@ Each iteration:
    :mod:`repro.runtime.trace_fold`.
 
 The simulator is solver-agnostic: it executes any
-:class:`~repro.rules.base.UpdateRuleKernel` (or any object satisfying the
-:class:`UpdateRule` protocol) through the rule's scalar entry point, and
-invokes the rule's epoch hooks around every epoch — SVRG's snapshot sync
-and SAGA's table initialisation run here without the simulator knowing
-either rule exists.
+:class:`~repro.rules.base.UpdateRuleKernel` through the rule's scalar entry
+point, and invokes the rule's epoch hooks around every epoch — SVRG's
+snapshot sync and SAGA's table initialisation run here without the
+simulator knowing either rule exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -36,40 +35,10 @@ from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.async_engine.worker import SimulatedWorker
 from repro.kernels.base import KernelBackend
 from repro.kernels.registry import resolve_backend
+from repro.rules.base import UpdateRuleKernel
 from repro.runtime.trace_fold import build_schedule, fold_iteration
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
-
-
-class UpdateRule(Protocol):
-    """Computes one model update from a (possibly stale) coordinate view.
-
-    :class:`~repro.rules.base.UpdateRuleKernel` satisfies this protocol via
-    its derived scalar entry point; ad-hoc rules only need
-    ``compute_update`` (and may expose ``dense_delta`` /
-    ``grad_nnz_multiplier`` / epoch hooks for the richer behaviours).
-    """
-
-    def compute_update(
-        self,
-        stale_coords: np.ndarray,
-        x_idx: np.ndarray,
-        x_val: np.ndarray,
-        y: float,
-        step_weight: float,
-        row: int = 0,
-    ) -> Tuple[np.ndarray, int]:
-        """Return ``(delta_values, dense_coordinate_count)``.
-
-        ``delta_values`` are the additive changes for the coordinates
-        ``x_idx`` (already scaled by the step size and importance weight);
-        ``dense_coordinate_count`` is the number of *additional* dense
-        coordinates the iteration touched.  When it is non-zero and the
-        rule exposes a non-``None`` ``dense_delta`` vector, the simulator
-        applies that dense update (before the sparse one) and logs it as
-        its own update record.
-        """
-        ...
 
 
 @dataclass
@@ -123,7 +92,7 @@ class AsyncSimulator:
     X: CSRMatrix
     y: np.ndarray
     workers: List[SimulatedWorker]
-    update_rule: UpdateRule
+    update_rule: UpdateRuleKernel
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     kernel: Union[KernelBackend, str, None] = None
@@ -142,9 +111,7 @@ class AsyncSimulator:
             self.staleness = UniformDelay(max(len(self.workers) - 1, 0))
         self.kernel = resolve_backend(self.kernel)
         if self.count_sample_draws is None:
-            self.count_sample_draws = bool(
-                getattr(self.update_rule, "counts_sample_draws", True)
-            )
+            self.count_sample_draws = self.update_rule.counts_sample_draws
         self._model: Optional[SharedModel] = None
 
     @property
@@ -206,8 +173,6 @@ class AsyncSimulator:
         model = SharedModel(self.X.n_cols, history=min(history, 4096), initial=initial_weights)
         self._model = model
         rule = self.update_rule
-        epoch_begin = getattr(rule, "epoch_begin", None)
-        epoch_end = getattr(rule, "epoch_end", None)
 
         trace = ExecutionTrace(iterations=[] if self.record_iterations else None)
         epoch_weights: List[np.ndarray] = []
@@ -216,8 +181,7 @@ class AsyncSimulator:
         try:
             for epoch in range(epochs):
                 event = EpochEvent(epoch=epoch)
-                if epoch_begin is not None:
-                    epoch_begin(self, epoch, event)
+                rule.epoch_begin(self, epoch, event)
                 if epoch > 0:
                     for worker in self.workers:
                         worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
@@ -238,10 +202,8 @@ class AsyncSimulator:
                         stale_coords, x_idx, x_val, float(self.y[global_row]), step_weight,
                         row=global_row,
                     )
-                    if dense_coords:
-                        dense_delta = getattr(rule, "dense_delta", None)
-                        if dense_delta is not None:
-                            model.apply_dense_update(dense_delta, worker_id=worker.worker_id)
+                    if dense_coords and rule.dense_delta is not None:
+                        model.apply_dense_update(rule.dense_delta, worker_id=worker.worker_id)
                     model.apply_update(x_idx, delta_values, worker_id=worker.worker_id)
 
                     fold_iteration(
@@ -268,8 +230,7 @@ class AsyncSimulator:
                         )
                     global_step += 1
 
-                if epoch_end is not None:
-                    epoch_end(self, epoch, event)
+                rule.epoch_end(self, epoch, event)
                 trace.add_epoch(event)
                 snapshot = model.snapshot()
                 if keep_epoch_weights:
@@ -286,4 +247,4 @@ class AsyncSimulator:
         )
 
 
-__all__ = ["AsyncSimulator", "SimulationResult", "UpdateRule"]
+__all__ = ["AsyncSimulator", "SimulationResult"]

@@ -1,308 +1,160 @@
-"""Real thread-based Hogwild backend.
+"""Real thread-based Hogwild engine.
 
-This backend runs genuine lock-free updates from multiple Python threads
+This engine runs genuine lock-free updates from multiple Python threads
 over one shared NumPy buffer, exactly as Hogwild prescribes (no locks, last
 writer wins per coordinate).  Under CPython the GIL serialises the byte-code
-of the workers, so this backend demonstrates *correctness* (the solvers
+of the workers, so this tier demonstrates *correctness* (the solvers
 tolerate truly interleaved, unsynchronised updates) rather than speed; the
 performance side of the paper is reproduced by the simulator + cost model.
 
-Since the runtime refactor the inner loop is rule-driven: every iteration
-goes through the scalar entry point of a
-:class:`~repro.rules.base.UpdateRuleKernel`, so the threaded tier executes
-the *same* coefficient/step math as the simulated and cluster tiers — SGD,
-IS-SGD, SVRG (incl. the skip-µ ablation) and SAGA all run here through one
-definition.  :class:`ThreadedRuleEngine` wraps the pool with the epoch
-machinery the runtime backends need: rule epoch hooks (SVRG's sync step,
-SAGA's table build), trace estimation and per-epoch weight snapshots.
+The threads consume the same :class:`~repro.async_engine.worker.SimulatedWorker`
+sample sequences as the simulated tiers (so importance re-weighting, step
+clipping and the ``reshuffle`` / ``regenerate`` epoch policy are defined
+once, on the worker), and every iteration goes through the scalar entry
+point of a :class:`~repro.rules.base.UpdateRuleKernel`, so the threaded tier
+executes the *same* coefficient/step math as the simulated and cluster
+tiers.  Rule epoch hooks (SVRG's sync step, SAGA's table build) run on the
+driver thread between epochs.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.async_engine.events import EpochEvent, ExecutionTrace
-from repro.core.partition import Partition
-from repro.core.sampler import SampleSequence
-from repro.objectives.base import Objective
+from repro.async_engine.simulator import SimulationResult
+from repro.async_engine.worker import SimulatedWorker
+from repro.kernels.base import KernelBackend
+from repro.kernels.registry import resolve_backend
+from repro.rules.base import UpdateRuleKernel
 from repro.runtime.trace_fold import fold_block
 from repro.sparse.csr import CSRMatrix
-from repro.utils.rng import RandomState, as_rng, spawn_rngs
 
 
 @dataclass
-class HogwildWorkerStats:
-    """Per-thread execution statistics."""
+class ThreadedRuleEngine:
+    """One OS thread per worker, updating one shared weight buffer lock-free.
 
-    worker_id: int
-    iterations: int = 0
-    coordinate_writes: int = 0
-
-
-class HogwildThreadPool:
-    """Lock-free multi-threaded executor over a shared weight buffer.
+    Satisfies the :class:`~repro.rules.base.EngineFacade` protocol.  Thread
+    scheduling is real, so the trace carries the operation counters
+    (iterations, support traffic, dense traffic, sample draws) but no
+    delay/conflict replay.  With a single worker the run is sequential and
+    bit-identical to the ``per_sample`` simulator with zero delay.
 
     Parameters
     ----------
-    X, y, objective:
-        The problem definition.
-    partition:
-        Worker shards (each thread trains on its own shard, as in the
-        paper's local-data-training setting).
-    step_size:
-        Base step size λ.
-    rule:
-        The update rule executed by every thread; defaults to the
-        registered ``sgd`` rule, which reproduces the historic Hogwild SGD
-        behaviour.  Rules with a dense term (SVRG, SAGA) have their
-        ``dense_delta`` applied before each sparse write, exactly as the
-        per-sample simulator orders it.
-    importance_sampling:
-        Whether threads draw samples from their local importance
-        distribution (with the ``1/(n p)`` re-weighting) or uniformly.
-    step_clip:
-        Cap on the re-weighting factor.
-    seed:
-        Master seed for the per-thread sample sequences.
+    X, y:
+        The full design matrix and labels.
+    workers:
+        One :class:`SimulatedWorker` per thread (shard + sample sequence).
+    update_rule:
+        The rule every thread executes.
+    kernel:
+        Kernel backend handed to rule epoch hooks; instance, registry name
+        or ``None`` for the configured default.
     """
 
-    def __init__(
-        self,
-        X: CSRMatrix,
-        y: np.ndarray,
-        objective: Objective,
-        partition: Partition,
-        *,
-        step_size: float,
-        rule=None,
-        importance_sampling: bool = True,
-        step_clip: float = 100.0,
-        seed: RandomState = 0,
-    ) -> None:
-        if y.shape[0] != X.n_rows:
-            raise ValueError("X and y row counts differ")
-        self.X = X
-        self.y = y
-        self.objective = objective
-        self.partition = partition
-        self.step_size = float(step_size)
-        if rule is None:
-            from repro.rules import make_rule
+    X: CSRMatrix
+    y: np.ndarray
+    workers: List[SimulatedWorker]
+    update_rule: UpdateRuleKernel
+    kernel: Union[KernelBackend, str, None] = None
 
-            rule = make_rule("sgd", objective, self.step_size)
-        self.rule = rule
-        self.importance_sampling = importance_sampling
-        self.step_clip = float(step_clip)
-        self.seed = seed
-        self.weights = np.zeros(X.n_cols, dtype=np.float64)
-        self.stats: List[HogwildWorkerStats] = []
+    def __post_init__(self) -> None:
+        if not self.workers:
+            raise ValueError("at least one worker is required")
+        if self.y.shape[0] != self.X.n_rows:
+            raise ValueError("X and y row counts differ")
+        self.kernel = resolve_backend(self.kernel)
+        self.weights = np.zeros(self.X.n_cols, dtype=np.float64)
+
+    @property
+    def inner_iterations(self) -> int:
+        """Inner iterations per epoch (all threads combined)."""
+        return sum(w.iterations_per_epoch for w in self.workers)
+
+    def apply_dense_update(self, delta: np.ndarray, *, worker_id: int = -1) -> None:
+        """Apply ``w += delta`` on the driver thread (between epochs)."""
+        self.weights += delta
 
     # ------------------------------------------------------------------ #
     def _worker_loop(
-        self,
-        worker_id: int,
-        rows: np.ndarray,
-        weights_per_row: np.ndarray,
-        sequence: np.ndarray,
-        stats: HogwildWorkerStats,
-        barrier: threading.Barrier,
+        self, rows: np.ndarray, step_weights: np.ndarray, barrier: threading.Barrier
     ) -> None:
-        X, y, w, rule = self.X, self.y, self.weights, self.rule
+        X, y, w, rule = self.X, self.y, self.weights, self.update_rule
         barrier.wait()
-        for local in sequence:
-            row = int(rows[local])
+        for row, step_weight in zip(rows.tolist(), step_weights.tolist()):
             x_idx, x_val = X.row(row)
             # Lock-free reads and writes: fancy indexing copies the current
             # (possibly mid-update) coordinates, np.add.at is not atomic
             # across threads — precisely the Hogwild semantics we want.
             values, _dense = rule.compute_update(
-                w[x_idx], x_idx, x_val, float(y[row]),
-                float(weights_per_row[local]), row=row,
+                w[x_idx], x_idx, x_val, float(y[row]), step_weight, row=row
             )
-            dense_delta = rule.dense_delta
-            if dense_delta is not None:
-                w += dense_delta
+            if rule.dense_delta is not None:
+                w += rule.dense_delta
             np.add.at(w, x_idx, values)
-            stats.iterations += 1
-            stats.coordinate_writes += int(x_idx.size)
 
-    def run_epoch(self, iterations_per_worker: int, *, epoch_seed: Optional[int] = None) -> None:
-        """Run one epoch: every thread performs ``iterations_per_worker`` updates."""
-        if iterations_per_worker < 1:
-            raise ValueError("iterations_per_worker must be >= 1")
-        rngs = spawn_rngs(epoch_seed if epoch_seed is not None else self.seed, self.partition.num_workers)
-        threads: List[threading.Thread] = []
-        barrier = threading.Barrier(self.partition.num_workers)
-        self.stats = [HogwildWorkerStats(worker_id=s.worker_id) for s in self.partition.shards]
-
-        for shard, rng, stats in zip(self.partition.shards, rngs, self.stats):
-            if self.importance_sampling:
-                probs = shard.probabilities
-                with np.errstate(divide="ignore"):
-                    reweight = 1.0 / (shard.size * probs)
-                reweight = np.minimum(reweight, self.step_clip)
-            else:
-                probs = np.full(shard.size, 1.0 / shard.size)
-                reweight = np.ones(shard.size)
-            sequence = SampleSequence.generate(probs, iterations_per_worker, seed=rng).indices
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(shard.worker_id, shard.row_indices, reweight, sequence, stats, barrier),
-                daemon=True,
-            )
-            threads.append(thread)
-
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    def run(self, epochs: int, iterations_per_worker: int,
-            epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-        """Run ``epochs`` epochs and return the final shared weights."""
-        if epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        base = as_rng(self.seed)
-        for epoch in range(epochs):
-            self.run_epoch(iterations_per_worker, epoch_seed=int(base.integers(0, 2**31 - 1)))
-            if epoch_callback is not None:
-                epoch_callback(epoch, self.weights.copy())
-        return self.weights
-
-
-class ThreadedRuleEngine:
-    """Epoch driver around :class:`HogwildThreadPool` for the runtime layer.
-
-    Satisfies the :class:`~repro.rules.base.EngineFacade` protocol, so rule
-    epoch hooks (SVRG's snapshot sync, SAGA's table initialisation, the
-    skip-µ epoch-level dense add) run on the driver thread between epochs —
-    written once in the rule, shared with the simulated tiers.  Thread
-    scheduling is real, so the trace carries *estimated* operation counters
-    (iterations, average-support traffic) and no delay/conflict replay.
-    """
-
-    def __init__(
-        self,
-        X: CSRMatrix,
-        y: np.ndarray,
-        objective: Objective,
-        partition: Partition,
-        rule,
-        *,
-        importance_sampling: bool = False,
-        step_clip: float = 100.0,
-        seed: RandomState = 0,
-        kernel=None,
-    ) -> None:
-        from repro.kernels.registry import resolve_backend
-
-        self.X = X
-        self.y = y
-        self.kernel = resolve_backend(kernel)
-        self.rule = rule
-        self.pool = HogwildThreadPool(
-            X, y, objective, partition,
-            step_size=rule.step_size,
-            rule=rule,
-            importance_sampling=importance_sampling,
-            step_clip=step_clip,
-            seed=seed,
-        )
-        # partition_dataset caps the shard count at n_samples; size the
-        # thread pool (and its barrier) from the partition, not from the
-        # requested worker count.
-        self.num_threads = partition.num_workers
-        self.iterations_per_worker = max(1, X.n_rows // self.num_threads)
-
-    # ------------------------------------------------------------------ #
-    # EngineFacade surface
-    # ------------------------------------------------------------------ #
-    @property
-    def weights(self) -> np.ndarray:
-        """The live shared weight buffer."""
-        return self.pool.weights
-
-    @property
-    def inner_iterations(self) -> int:
-        """Inner iterations per epoch (all threads combined)."""
-        return self.iterations_per_worker * self.num_threads
-
-    def apply_dense_update(self, delta: np.ndarray, *, worker_id: int = -1) -> None:
-        """Apply ``w += delta`` on the driver thread (between epochs)."""
-        self.pool.weights += delta
-
-    # ------------------------------------------------------------------ #
     def run(
         self,
         epochs: int,
         *,
         initial_weights: Optional[np.ndarray] = None,
-    ):
-        """Run ``epochs`` threaded epochs; returns ``(trace, weights_by_epoch)``."""
+        reshuffle: bool = True,
+        regenerate: bool = False,
+        keep_epoch_weights: bool = False,
+    ) -> SimulationResult:
+        """Run ``epochs`` threaded epochs (same arguments as the simulators)."""
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         if initial_weights is not None:
-            self.pool.weights[:] = initial_weights
-        rule = self.rule
-        base = as_rng(self.pool.seed)
+            self.weights[:] = initial_weights
+        rule = self.update_rule
+        row_nnz = self.X.row_nnz()
         trace = ExecutionTrace()
-        weights_by_epoch: List[np.ndarray] = []
-        avg_nnz = self.X.nnz / max(self.X.n_rows, 1)
+        epoch_weights: List[np.ndarray] = []
 
         for epoch in range(epochs):
             event = EpochEvent(epoch=epoch)
             rule.epoch_begin(self, epoch, event)
-            self.pool.run_epoch(
-                self.iterations_per_worker, epoch_seed=int(base.integers(0, 2**31 - 1))
-            )
-            total = self.inner_iterations
+            if epoch > 0:
+                for worker in self.workers:
+                    worker.start_epoch(reshuffle=reshuffle, regenerate=regenerate)
+            # Each worker hands over its whole epoch sequence on the driver
+            # thread; the threads only execute updates.
+            draws = [w.next_samples(w.iterations_per_epoch) for w in self.workers]
+            barrier = threading.Barrier(len(draws))
+            threads = [
+                threading.Thread(
+                    target=self._worker_loop, args=(rows, step_weights, barrier), daemon=True
+                )
+                for rows, _local, step_weights in draws
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
             fold_block(
                 event,
                 rule,
-                iterations=total,
-                support_nnz=int(total * avg_nnz),
+                iterations=sum(rows.size for rows, _, _ in draws),
+                support_nnz=sum(int(row_nnz[rows].sum()) for rows, _, _ in draws),
                 conflicts=0,
             )
             rule.epoch_end(self, epoch, event)
             trace.add_epoch(event)
-            weights_by_epoch.append(self.pool.weights.copy())
+            if keep_epoch_weights:
+                epoch_weights.append(self.weights.copy())
 
-        return trace, weights_by_epoch
-
-
-def run_hogwild_threads(
-    X: CSRMatrix,
-    y: np.ndarray,
-    objective: Objective,
-    partition: Partition,
-    *,
-    step_size: float,
-    epochs: int,
-    importance_sampling: bool = True,
-    seed: RandomState = 0,
-    epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> np.ndarray:
-    """Convenience wrapper: build a :class:`HogwildThreadPool` and run it."""
-    pool = HogwildThreadPool(
-        X,
-        y,
-        objective,
-        partition,
-        step_size=step_size,
-        importance_sampling=importance_sampling,
-        seed=seed,
-    )
-    iterations = max(1, X.n_rows // max(partition.num_workers, 1))
-    return pool.run(epochs, iterations, epoch_callback=epoch_callback)
+        return SimulationResult(
+            weights=self.weights.copy(),
+            trace=trace,
+            epoch_weights=epoch_weights if keep_epoch_weights else None,
+        )
 
 
-__all__ = [
-    "HogwildThreadPool",
-    "HogwildWorkerStats",
-    "ThreadedRuleEngine",
-    "run_hogwild_threads",
-]
+__all__ = ["ThreadedRuleEngine"]

@@ -40,7 +40,7 @@ The cluster is **elastic and fault-tolerant**:
   ``steal_skew_threshold`` (or forced with ``work_stealing=True``).
 
 Solvers select this tier with ``async_mode="process"`` (see
-:mod:`repro.async_engine.modes`); it is the first execution path in the
+:mod:`repro.runtime`); it is the first execution path in the
 repository whose throughput scales with physical cores.
 """
 

@@ -26,12 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.async_engine.modes import resolve_async_mode
 from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.core.balancing import balance_dataset
 from repro.core.config import ISASGDConfig
 from repro.core.importance import ImportanceScheme
 from repro.core.partition import partition_dataset
+from repro.runtime import resolve_async_mode
 from repro.solvers.base import BaseSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import as_rng
@@ -51,9 +51,6 @@ class ISASGDSolver(BaseSolver):
     staleness:
         Optional override of the delay model (defaults to
         ``UniformDelay(config.effective_max_delay)``).
-    backend:
-        ``"simulated"`` (default) or ``"threads"`` (backward-compatible
-        alias for ``async_mode="threads"``).
     async_mode:
         Execution backend, resolved through the runtime registry:
         ``"per_sample"``, ``"batched"``, ``"threads"`` or ``"process"``;
@@ -76,7 +73,6 @@ class ISASGDSolver(BaseSolver):
         *,
         cost_model=None,
         staleness: Optional[StalenessModel] = None,
-        backend: str = "simulated",
         kernel=None,
         async_mode: Optional[str] = None,
         batch_size="auto",
@@ -96,19 +92,8 @@ class ISASGDSolver(BaseSolver):
             record_every=config.record_every,
             kernel=kernel,
         )
-        if backend not in {"simulated", "threads"}:
-            raise ValueError("backend must be 'simulated' or 'threads'")
         self.config = config
         self.staleness = staleness
-        self.backend = backend
-        if backend == "threads":
-            # Backward-compatible alias; an explicit conflicting async_mode
-            # is a caller error, not something to override silently.
-            if async_mode not in (None, "threads"):
-                raise ValueError(
-                    f"backend='threads' conflicts with async_mode={async_mode!r}"
-                )
-            async_mode = "threads"
         self.async_mode = resolve_async_mode(async_mode)
         self.batch_size = batch_size
         self.shard_scheme = shard_scheme
@@ -167,7 +152,6 @@ class ISASGDSolver(BaseSolver):
 
         L = problem.lipschitz_constants()
         return {
-            "backend": self.backend,
             "num_workers": self.config.num_workers,
             "balancing_decision": balancing.decision.value,
             "balancing_method": self.config.balancing_method,

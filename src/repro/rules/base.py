@@ -11,11 +11,11 @@ entry points from it:
 
 * :meth:`block_entry_weights` — the one implementation.  Computes the
   per-entry deltas of a whole gathered block from its block-start margins.
-  The batched simulator, the thread pool and the cluster worker all call
-  this directly (the cluster passes flat-layout coordinates; the math never
-  sees the difference).
+  The batched simulator and the cluster worker call this directly (the
+  cluster passes flat-layout coordinates; the math never sees the
+  difference).
 * :meth:`compute_update` — the scalar entry point used by the per-sample
-  ground-truth simulator and the threaded backend's inner loop.  It is a
+  ground-truth simulator and the threads engine's inner loop.  It is a
   block of size one: the base class wraps the scalar arguments into
   singleton arrays and calls :meth:`block_entry_weights`, so a rule cannot
   drift between tiers.

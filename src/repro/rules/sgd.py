@@ -1,8 +1,8 @@
 """The SGD update rule (plain ASGD and importance-sampled IS-ASGD).
 
-One definition serves every execution tier: the per-sample simulator calls
-the derived scalar entry point, the batched simulator / thread pool /
-cluster worker call :meth:`SGDRule.block_entry_weights` directly.  IS-SGD is
+One definition serves every execution tier: the per-sample simulator and the
+threads engine call the derived scalar entry point, the batched simulator
+and the cluster worker call :meth:`SGDRule.block_entry_weights` directly.  IS-SGD is
 the *same* coefficient math — the importance re-weighting ``1/(n_a p_i)``
 arrives through ``step_weights`` from the sampler layer — so it is
 registered as an alias of this class rather than a second implementation.

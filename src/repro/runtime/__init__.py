@@ -9,13 +9,17 @@ tiers runs it).  Solvers build an
 ``async_mode``, validates the rule/backend combination against the
 capability metadata and returns an
 :class:`~repro.runtime.backends.ExecutionResult` whose trace plugs into the
-metrics/cost/experiments pipeline unchanged.
+metrics/cost/experiments pipeline unchanged.  The ``async_mode``
+resolution (explicit argument, :func:`set_default_async_mode`,
+``REPRO_ASYNC_MODE``, built-in default) lives here too.
 
 See ``docs/runtime.md`` for the backend contract, the capability table and
 the "add a solver in one file" walkthrough.
 """
 
 from repro.runtime.backends import (
+    ASYNC_MODE_ENV_VAR,
+    DEFAULT_ASYNC_MODE,
     BackendCapabilities,
     ExecutionBackend,
     ExecutionRequest,
@@ -24,9 +28,12 @@ from repro.runtime.backends import (
     backend_capabilities,
     backends_supporting,
     capability_matrix,
+    default_async_mode,
     execute,
     get_backend,
     register_backend,
+    resolve_async_mode,
+    set_default_async_mode,
 )
 from repro.runtime.trace_fold import (
     build_schedule,
@@ -37,6 +44,8 @@ from repro.runtime.trace_fold import (
 )
 
 __all__ = [
+    "ASYNC_MODE_ENV_VAR",
+    "DEFAULT_ASYNC_MODE",
     "BackendCapabilities",
     "ExecutionBackend",
     "ExecutionRequest",
@@ -45,9 +54,12 @@ __all__ = [
     "backend_capabilities",
     "backends_supporting",
     "capability_matrix",
+    "default_async_mode",
     "execute",
     "get_backend",
     "register_backend",
+    "resolve_async_mode",
+    "set_default_async_mode",
     "build_schedule",
     "fold_block",
     "fold_iteration",

@@ -9,8 +9,8 @@ builders: they declare *what* to run (rule + sampler + partition) and the
 registry decides *how* (which engine, with which trace guarantees), so
 adding a solver touches no engine and adding an engine touches no solver.
 
-Registered backends (also reachable through the legacy
-:mod:`repro.async_engine.modes` shim and the ``REPRO_ASYNC_MODE``
+Registered backends (selected per solver with ``async_mode=``, per process
+with :func:`set_default_async_mode` or through the ``REPRO_ASYNC_MODE``
 environment variable):
 
 ====================  ==========================================================
@@ -25,10 +25,16 @@ environment variable):
 Requesting a rule a backend does not support, or an unknown backend name,
 raises immediately with the full list of valid choices — failures surface
 at dispatch, not deep inside an engine.
+
+An ``async_mode`` of ``None`` resolves, in order, to the process-wide
+default set with :func:`set_default_async_mode`, then ``REPRO_ASYNC_MODE``,
+then :data:`DEFAULT_ASYNC_MODE` (``"per_sample"``, the trace-exact ground
+truth).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -41,6 +47,12 @@ from repro.utils.rng import RandomState
 #: and rebuilds rules inside child processes, so runtime-registered custom
 #: rules cannot be guaranteed there.
 _BUILTIN_RULES: Tuple[str, ...] = ("is_sgd", "saga", "sgd", "svrg", "svrg_skip_dense")
+
+#: Environment variable consulted when no explicit mode is configured.
+ASYNC_MODE_ENV_VAR = "REPRO_ASYNC_MODE"
+
+#: The built-in default execution mode.
+DEFAULT_ASYNC_MODE = "per_sample"
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,7 @@ class ExecutionRequest:
     rule: str                               # repro.rules registry name
     step_size: float
     epochs: int
-    engine_seed: RandomState = 0            # schedule/delay/thread/process seed
+    engine_seed: RandomState = 0            # schedule/delay/process seed
     worker_seed: int = 0                    # simulated-worker sequence seed
     importance_sampling: bool = False
     step_clip: float = 100.0
@@ -154,7 +166,7 @@ class ExecutionRequest:
         return make_rule(self.rule, self.objective, self.step_size)
 
     def build_workers(self):
-        """One :class:`SimulatedWorker` per shard (simulated tiers only)."""
+        """One :class:`SimulatedWorker` per shard (the in-process tiers)."""
         from repro.async_engine.worker import build_workers
 
         return build_workers(
@@ -208,6 +220,44 @@ class ExecutionBackend:
 # --------------------------------------------------------------------- #
 # The built-in tiers
 # --------------------------------------------------------------------- #
+def _run_engine(engine_cls, request: ExecutionRequest, **engine_kwargs):
+    """Run one in-process engine over the request's workers and rule."""
+    engine = engine_cls(
+        X=request.X,
+        y=request.y,
+        workers=request.build_workers(),
+        update_rule=request.build_rule(),
+        kernel=request.kernel,
+        **engine_kwargs,
+    )
+    return engine.run(
+        request.epochs,
+        initial_weights=request.initial_weights,
+        reshuffle=request.reshuffle,
+        regenerate=request.regenerate,
+        keep_epoch_weights=True,
+    )
+
+
+def _run_simulated(engine_cls, mode: str, request: ExecutionRequest, **engine_kwargs):
+    """Run a simulated engine (staleness + schedule seed) and wrap its result."""
+    staleness = request.resolved_staleness()
+    sim = _run_engine(
+        engine_cls, request, staleness=staleness, seed=request.engine_seed, **engine_kwargs
+    )
+    return ExecutionResult(
+        weights=sim.weights,
+        trace=sim.trace,
+        epoch_weights=sim.epoch_weights,
+        info={
+            "backend": "simulated",
+            "async_mode": mode,
+            "max_delay": staleness.max_delay,
+            "conflict_rate": sim.trace.conflict_rate(),
+        },
+    )
+
+
 class PerSampleBackend(ExecutionBackend):
     """Ground truth: one Python-level iteration per update, trace-exact."""
 
@@ -223,35 +273,7 @@ class PerSampleBackend(ExecutionBackend):
     def run(self, request: ExecutionRequest) -> ExecutionResult:
         from repro.async_engine.simulator import AsyncSimulator
 
-        workers = request.build_workers()
-        staleness = request.resolved_staleness()
-        simulator = AsyncSimulator(
-            X=request.X,
-            y=request.y,
-            workers=workers,
-            update_rule=request.build_rule(),
-            staleness=staleness,
-            seed=request.engine_seed,
-            kernel=request.kernel,
-        )
-        sim = simulator.run(
-            request.epochs,
-            initial_weights=request.initial_weights,
-            reshuffle=request.reshuffle,
-            regenerate=request.regenerate,
-            keep_epoch_weights=True,
-        )
-        return ExecutionResult(
-            weights=sim.weights,
-            trace=sim.trace,
-            epoch_weights=sim.epoch_weights,
-            info={
-                "backend": "simulated",
-                "async_mode": self.capabilities.name,
-                "max_delay": staleness.max_delay,
-                "conflict_rate": sim.trace.conflict_rate(),
-            },
-        )
+        return _run_simulated(AsyncSimulator, self.capabilities.name, request)
 
 
 class BatchedBackend(ExecutionBackend):
@@ -270,35 +292,8 @@ class BatchedBackend(ExecutionBackend):
     def run(self, request: ExecutionRequest) -> ExecutionResult:
         from repro.async_engine.batched import BatchedSimulator
 
-        workers = request.build_workers()
-        staleness = request.resolved_staleness()
-        simulator = BatchedSimulator(
-            X=request.X,
-            y=request.y,
-            workers=workers,
-            update_rule=request.build_rule(),
-            staleness=staleness,
-            seed=request.engine_seed,
-            batch_size=request.batch_size,
-            kernel=request.kernel,
-        )
-        sim = simulator.run(
-            request.epochs,
-            initial_weights=request.initial_weights,
-            reshuffle=request.reshuffle,
-            regenerate=request.regenerate,
-            keep_epoch_weights=True,
-        )
-        return ExecutionResult(
-            weights=sim.weights,
-            trace=sim.trace,
-            epoch_weights=sim.epoch_weights,
-            info={
-                "backend": "simulated",
-                "async_mode": self.capabilities.name,
-                "max_delay": staleness.max_delay,
-                "conflict_rate": sim.trace.conflict_rate(),
-            },
+        return _run_simulated(
+            BatchedSimulator, self.capabilities.name, request, batch_size=request.batch_size
         )
 
 
@@ -317,25 +312,11 @@ class ThreadsBackend(ExecutionBackend):
     def run(self, request: ExecutionRequest) -> ExecutionResult:
         from repro.async_engine.threads import ThreadedRuleEngine
 
-        engine = ThreadedRuleEngine(
-            request.X,
-            request.y,
-            request.objective,
-            request.partition,
-            request.build_rule(),
-            importance_sampling=request.importance_sampling,
-            step_clip=request.step_clip,
-            seed=request.engine_seed,
-            kernel=request.kernel,
-        )
-        engine.iterations_per_worker = request.resolved_iterations_per_worker()
-        trace, weights_by_epoch = engine.run(
-            request.epochs, initial_weights=request.initial_weights
-        )
+        run = _run_engine(ThreadedRuleEngine, request)
         return ExecutionResult(
-            weights=weights_by_epoch[-1],
-            trace=trace,
-            epoch_weights=weights_by_epoch,
+            weights=run.weights,
+            trace=run.trace,
+            epoch_weights=run.epoch_weights,
             info={"backend": "threads", "async_mode": self.capabilities.name},
         )
 
@@ -439,6 +420,33 @@ def backends_supporting(rule: str) -> List[str]:
     ]
 
 
+_default_override: Optional[str] = None
+
+
+def default_async_mode() -> str:
+    """The mode the process currently resolves ``async_mode=None`` to."""
+    if _default_override is not None:
+        return _default_override
+    env = os.environ.get(ASYNC_MODE_ENV_VAR, "").strip()
+    return resolve_async_mode(env) if env else DEFAULT_ASYNC_MODE
+
+
+def set_default_async_mode(mode: Optional[str]) -> None:
+    """Set (or clear, with ``None``) the process-wide default async mode."""
+    global _default_override
+    _default_override = None if mode is None else resolve_async_mode(mode)
+
+
+def resolve_async_mode(mode: Optional[str]) -> str:
+    """Normalise an ``async_mode`` argument (name or ``None``) to a mode name.
+
+    Unknown names raise ``ValueError`` listing the registered modes.
+    """
+    if mode is None:
+        return default_async_mode()
+    return get_backend(mode).capabilities.name
+
+
 def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
     """Resolve ``mode`` and run the request on the selected backend.
 
@@ -448,7 +456,6 @@ def execute(mode: Optional[str], request: ExecutionRequest) -> ExecutionResult:
     rule/backend combinations the capabilities cannot honour all fail
     *here*, with actionable messages, instead of deep inside an engine.
     """
-    from repro.async_engine.modes import resolve_async_mode
     from repro.rules import available_rules
 
     if request.rule not in available_rules():
@@ -475,6 +482,8 @@ register_backend(ProcessBackend())
 
 
 __all__ = [
+    "ASYNC_MODE_ENV_VAR",
+    "DEFAULT_ASYNC_MODE",
     "BackendCapabilities",
     "ExecutionBackend",
     "ExecutionRequest",
@@ -487,7 +496,10 @@ __all__ = [
     "backend_capabilities",
     "backends_supporting",
     "capability_matrix",
+    "default_async_mode",
     "execute",
     "get_backend",
     "register_backend",
+    "resolve_async_mode",
+    "set_default_async_mode",
 ]

@@ -6,17 +6,18 @@ counters into :class:`~repro.async_engine.events.EpochEvent` records with
 the rule's multipliers applied, and (for the cluster tier) collapsing the
 per-worker shared-memory counter rows into one epoch event.  This module is
 the single home for that machinery; the per-sample simulator, the batched
-macro-step engine, the threaded pool and the cluster driver all fold
+macro-step engine, the threads engine and the cluster driver all fold
 through it, so a new counter is added in exactly one place.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.async_engine.events import EpochEvent
+if TYPE_CHECKING:  # runtime must import without pulling in the engines
+    from repro.async_engine.events import EpochEvent
 
 
 def build_schedule(workers: Sequence, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,9 @@ overlap the queueing/bookkeeping with the numpy reductions.
 Swap-consistency contract: each lane pins *one* model reference per batch
 (:meth:`~repro.serving.swap.ModelRef.get`) and scores every request of the
 batch against it, so a concurrent hot swap never produces a mixed-weight
-response; each response names the model version that produced it.  The
+response; each response names the model version that produced it.  A query
+validated against an older version is re-checked against the pinned model,
+so a swap to a narrower feature space fails only that query.  The
 optional LRU result cache is keyed by ``(model version, row hash)``, so a
 swap implicitly invalidates every cached margin.
 """
@@ -110,7 +112,7 @@ class _LRUCache:
 
 
 class _Request:
-    __slots__ = ("idx", "val", "pending", "cache_key")
+    __slots__ = ("idx", "val", "pending", "cache_key", "version")
 
     def __init__(
         self,
@@ -118,11 +120,13 @@ class _Request:
         val: np.ndarray,
         pending: PendingResult,
         cache_key: Optional[bytes],
+        version: int,
     ) -> None:
         self.idx = idx
         self.val = val
         self.pending = pending
         self.cache_key = cache_key
+        self.version = version  # model version the query was validated against
 
 
 class MicroBatcher:
@@ -200,7 +204,7 @@ class MicroBatcher:
             cache_key = hashlib.blake2b(
                 idx.tobytes() + val.tobytes(), digest_size=16
             ).digest()
-        request = _Request(idx, val, pending, cache_key)
+        request = _Request(idx, val, pending, cache_key, model.version)
         with self._cond:
             if self._closing:
                 raise RuntimeError("batcher is closed")
@@ -262,6 +266,8 @@ class MicroBatcher:
 
         fresh: List[_Request] = []
         for request in batch:
+            if request.version != version and not self._still_valid(request, model):
+                continue
             if request.cache_key is not None and self.cache is not None:
                 hit = self.cache.get((version, request.cache_key))
                 if hit is not None:
@@ -286,6 +292,27 @@ class MicroBatcher:
             self._batches += 1
             self._largest_batch = max(self._largest_batch, len(batch))
             self._answered += len(batch)
+
+    @staticmethod
+    def _still_valid(request: _Request, model: ScoringModel) -> bool:
+        """Re-validate a query submitted before a hot swap; fail it alone if stale.
+
+        A swap to a narrower model can put a query's indices out of range
+        for the model this batch pinned; that query gets its own
+        ``ValueError`` while the rest of the batch is still scored.
+        """
+        try:
+            _normalise_query(request.idx, request.val, model.n_features)
+        except ValueError as exc:
+            request.pending._resolve(
+                None,
+                ValueError(
+                    f"query submitted against model version {request.version} is invalid "
+                    f"for model version {model.version} swapped in before scoring: {exc}"
+                ),
+            )
+            return False
+        return True
 
     def _respond(
         self, request: _Request, model: ScoringModel, margin: float, *, cached: bool

@@ -8,11 +8,6 @@ four interchangeable backends ``async_mode`` selects: ``per_sample``
 (ground-truth simulator), ``batched`` (macro-step fast path), ``threads``
 (real lock-free threads) or ``process`` (multi-process sharded parameter
 server with measured wall-clock).
-
-``SparseSGDUpdateRule`` / ``BatchedSparseSGDRule`` remain as aliases of the
-single rule definition in :mod:`repro.rules.sgd` for backward
-compatibility: the scalar entry point *is* the batched one applied to a
-block of size one.
 """
 
 from __future__ import annotations
@@ -21,18 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.async_engine.modes import resolve_async_mode
 from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
-from repro.rules.sgd import SGDRule
+from repro.runtime import resolve_async_mode
 from repro.solvers.base import BaseSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import RandomState, as_rng
-
-#: Backward-compatible aliases — the update math lives in ``repro.rules``.
-SparseSGDUpdateRule = SGDRule
-BatchedSparseSGDRule = SGDRule
 
 
 class ASGDSolver(BaseSolver):
@@ -46,14 +36,10 @@ class ASGDSolver(BaseSolver):
         Delay model for the simulated tiers; defaults to
         ``UniformDelay(num_workers - 1)``, matching the assumption that the
         maximum delay is proportional to concurrency.
-    backend:
-        ``"simulated"`` (default) runs the engine selected by
-        ``async_mode``; ``"threads"`` is a backward-compatible alias for
-        ``async_mode="threads"``.
     async_mode:
         Execution backend, resolved through the runtime registry:
         ``"per_sample"``, ``"batched"``, ``"threads"`` or ``"process"``;
-        ``None`` resolves via :mod:`repro.async_engine.modes`
+        ``None`` resolves via :func:`repro.runtime.resolve_async_mode`
         (``REPRO_ASYNC_MODE``).  See ``docs/runtime.md`` for the
         capability matrix.
     batch_size:
@@ -78,7 +64,6 @@ class ASGDSolver(BaseSolver):
         cost_model=None,
         record_every: int = 1,
         staleness: Optional[StalenessModel] = None,
-        backend: str = "simulated",
         kernel=None,
         async_mode: Optional[str] = None,
         batch_size="auto",
@@ -89,19 +74,8 @@ class ASGDSolver(BaseSolver):
                          cost_model=cost_model, record_every=record_every, kernel=kernel)
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if backend not in {"simulated", "threads"}:
-            raise ValueError("backend must be 'simulated' or 'threads'")
         self.num_workers = int(num_workers)
         self.staleness = staleness
-        self.backend = backend
-        if backend == "threads":
-            # Backward-compatible alias; an explicit conflicting async_mode
-            # is a caller error, not something to override silently.
-            if async_mode not in (None, "threads"):
-                raise ValueError(
-                    f"backend='threads' conflicts with async_mode={async_mode!r}"
-                )
-            async_mode = "threads"
         self.async_mode = resolve_async_mode(async_mode)
         self.batch_size = batch_size
         self.shard_scheme = shard_scheme
@@ -134,4 +108,4 @@ class ASGDSolver(BaseSolver):
         )
 
 
-__all__ = ["ASGDSolver", "SparseSGDUpdateRule", "BatchedSparseSGDRule"]
+__all__ = ["ASGDSolver"]

@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.async_engine.modes import resolve_async_mode
 from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
+from repro.runtime import resolve_async_mode
 from repro.solvers.base import BaseSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import RandomState, as_rng

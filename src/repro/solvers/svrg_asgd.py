@@ -15,8 +15,7 @@ The whole algorithm — the inner update *and* the per-epoch sync step — is
 the registered ``svrg`` / ``svrg_skip_dense`` rule
 (:mod:`repro.rules.svrg`); this solver only declares the sampler
 configuration and hands execution to the runtime, so all four backends run
-the identical definition.  ``BatchedSVRGRule`` remains as a
-backward-compatible alias of that rule class.
+the identical definition.
 """
 
 from __future__ import annotations
@@ -25,17 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.async_engine.modes import resolve_async_mode
 from repro.async_engine.staleness import StalenessModel, UniformDelay
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
-from repro.rules.svrg import SVRGRule
+from repro.runtime import resolve_async_mode
 from repro.solvers.base import BaseSolver, Problem
 from repro.solvers.results import TrainResult
 from repro.utils.rng import RandomState, as_rng
-
-#: Backward-compatible alias — the update math lives in ``repro.rules``.
-BatchedSVRGRule = SVRGRule
 
 
 class SVRGASGDSolver(BaseSolver):
@@ -107,4 +102,4 @@ class SVRGASGDSolver(BaseSolver):
         )
 
 
-__all__ = ["SVRGASGDSolver", "BatchedSVRGRule"]
+__all__ = ["SVRGASGDSolver"]

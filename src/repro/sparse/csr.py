@@ -98,6 +98,8 @@ class CSRMatrix:
             raise ValueError("indptr must be non-decreasing")
         if self.data.shape != self.indices.shape:
             raise ValueError("data and indices must have identical shapes")
+        if not np.isfinite(self.data).all():
+            raise ValueError("data must be finite (got NaN or infinity)")
         if self.n_cols < 0:
             raise ValueError("n_cols must be non-negative")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_cols):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import math
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -25,14 +26,17 @@ def parse_libsvm_line(line: str) -> Tuple[float, np.ndarray, np.ndarray]:
     """Parse one LibSVM line into ``(label, indices, values)``.
 
     Feature indices in the file are 1-based and are converted to 0-based.
-    Comments introduced by ``#`` are stripped.  Malformed feature tokens
-    raise ``ValueError`` naming the offending token.
+    Comments introduced by ``#`` are stripped.  Malformed feature tokens and
+    non-finite labels or values (``nan``, ``inf``) raise ``ValueError``
+    naming the offending token.
     """
     line = line.split("#", 1)[0].strip()
     if not line:
         raise ValueError("cannot parse an empty line")
     parts = line.split()
     label = float(parts[0])
+    if not math.isfinite(label):
+        raise ValueError(f"label must be finite, got {parts[0]!r}")
     idx: List[int] = []
     val: List[float] = []
     for token in parts[1:]:
@@ -44,6 +48,8 @@ def parse_libsvm_line(line: str) -> Tuple[float, np.ndarray, np.ndarray]:
             raise ValueError(f"malformed feature token {token!r}") from exc
         if col < 1:
             raise ValueError(f"feature indices must be >= 1, got {col}")
+        if not math.isfinite(value):
+            raise ValueError(f"feature values must be finite, got token {token!r}")
         idx.append(col - 1)
         val.append(value)
     return label, np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64)

@@ -1,9 +1,8 @@
 """Parity suite for the registered ``async_mode="threads"`` backend.
 
-The real lock-free threading backend was previously reachable only through
-the solver-specific ``backend="threads"`` argument; it is now a registered
-async mode selectable through :mod:`repro.async_engine.modes` (and hence
-``REPRO_ASYNC_MODE``) for all three asynchronous solvers.  Thread
+The real lock-free threading backend is a registered async mode, selectable
+through :mod:`repro.runtime` (and hence ``REPRO_ASYNC_MODE``) for all the
+asynchronous solvers.  Thread
 scheduling makes the runs non-deterministic, so the suite pins *tolerance*
 parity against the per-sample simulated ground truth on a fixed seed: the
 threaded run must genuinely optimise and land within a loss band of the
@@ -13,11 +12,11 @@ simulated one.
 import numpy as np
 import pytest
 
-from repro.async_engine.modes import available_async_modes, set_default_async_mode
 from repro.core.is_asgd import ISASGDSolver
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
 from repro.objectives.logistic import LogisticObjective
 from repro.objectives.regularizers import L2Regularizer
+from repro.runtime import available_backend_names, set_default_async_mode
 from repro.solvers.asgd import ASGDSolver
 from repro.solvers.base import Problem
 from repro.solvers.svrg_asgd import SVRGASGDSolver
@@ -48,7 +47,7 @@ SOLVER_FACTORIES = {
 
 class TestThreadsMode:
     def test_threads_is_registered(self):
-        assert "threads" in available_async_modes()
+        assert "threads" in available_backend_names()
 
     @pytest.mark.parametrize("solver_name", sorted(SOLVER_FACTORIES))
     def test_threads_converges_to_per_sample_tolerance(self, parity_problem, solver_name):
@@ -82,12 +81,6 @@ class TestThreadsMode:
         finally:
             set_default_async_mode(None)
 
-    def test_backend_argument_still_works(self, parity_problem):
-        solver = ASGDSolver(step_size=0.2, epochs=2, num_workers=2, seed=0, backend="threads")
-        assert solver.async_mode == "threads"
-        result = solver.fit(parity_problem)
-        assert result.info["backend"] == "threads"
-
 
 class TestThreadsWorkerCapping:
     def test_svrg_threads_more_workers_than_samples_terminates(self):
@@ -102,11 +95,3 @@ class TestThreadsWorkerCapping:
         result = solver.fit(problem)
         assert result.info["async_mode"] == "threads"
         assert len(result.trace.epochs) == 2
-
-    def test_backend_threads_conflicting_async_mode_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            ASGDSolver(step_size=0.2, epochs=1, num_workers=2,
-                       backend="threads", async_mode="process")
-        with pytest.raises(ValueError, match="conflicts"):
-            ISASGDSolver(step_size=0.2, epochs=1, num_workers=2,
-                         backend="threads", async_mode="batched")

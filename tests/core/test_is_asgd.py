@@ -73,7 +73,7 @@ class TestConfigurationKnobs:
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError):
-            ISASGDSolver(ISASGDConfig(), backend="mpi")
+            ISASGDSolver(ISASGDConfig(), async_mode="mpi")
 
     def test_prepare_partition_masses(self, small_problem):
         solver = ISASGDSolver(ISASGDConfig(num_workers=4, seed=0,
@@ -104,6 +104,6 @@ class TestAgainstBaselines:
 
     def test_threads_backend_converges(self, small_problem):
         cfg = ISASGDConfig(step_size=0.3, epochs=3, num_workers=2, seed=0)
-        result = ISASGDSolver(cfg, backend="threads").fit(small_problem)
+        result = ISASGDSolver(cfg, async_mode="threads").fit(small_problem)
         assert result.info["backend"] == "threads"
         assert result.curve.rmse[-1] < result.curve.rmse[0]

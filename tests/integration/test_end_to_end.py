@@ -66,8 +66,8 @@ class TestPublicApiFlow:
 class TestCrossBackendConsistency:
     def test_simulated_and_threaded_is_asgd_reach_similar_quality(self, smoke_problem):
         cfg = ISASGDConfig(step_size=0.3, epochs=4, num_workers=2, seed=0)
-        sim = ISASGDSolver(cfg, backend="simulated").fit(smoke_problem)
-        thr = ISASGDSolver(cfg, backend="threads").fit(smoke_problem)
+        sim = ISASGDSolver(cfg).fit(smoke_problem)
+        thr = ISASGDSolver(cfg, async_mode="threads").fit(smoke_problem)
         assert abs(sim.final_rmse - thr.final_rmse) < 0.25
         assert thr.best_error_rate < 0.5
 

@@ -159,18 +159,6 @@ class TestCustomRules:
             rules.RULE_DESCRIPTIONS.pop("half_sgd", None)
 
 
-class TestModeDescriptionsMapping:
-    def test_live_view_and_mapping_contract(self):
-        from repro.async_engine.modes import MODE_DESCRIPTIONS
-
-        assert set(MODE_DESCRIPTIONS) == set(available_backend_names())
-        assert "parameter server" in MODE_DESCRIPTIONS["process"]
-        # dict-style membership/default lookups must not raise.
-        assert "bogus" not in MODE_DESCRIPTIONS
-        assert MODE_DESCRIPTIONS.get("bogus", "fallback") == "fallback"
-        assert dict(MODE_DESCRIPTIONS)  # materialisable
-
-
 class TestExecute:
     def test_per_sample_execute_returns_result(self, small_problem):
         result = execute("per_sample", _request(small_problem))
@@ -208,9 +196,9 @@ class TestExecute:
             assert "echo" in available_backend_names()
             result = execute("echo", _request(small_problem))
             assert result.info["async_mode"] == "echo"
-            # The modes shim sees the new backend too.
-            from repro.async_engine.modes import available_async_modes
+            # Mode resolution sees the new backend too.
+            from repro.runtime import resolve_async_mode
 
-            assert "echo" in available_async_modes()
+            assert resolve_async_mode("echo") == "echo"
         finally:
             _BACKENDS.pop("echo", None)

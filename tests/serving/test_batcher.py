@@ -107,6 +107,27 @@ def test_submit_rejects_out_of_range_queries(served):
             batcher.submit([model.n_features], [1.0])
 
 
+def test_narrowing_swap_fails_only_the_stale_query():
+    """A query valid at submit time but out of range for the model swapped in
+    before scoring gets its own ValueError; the rest of its batch is scored."""
+    objective = make_objective("logistic_l1")
+    wide = ScoringModel(np.linspace(-1.0, 1.0, 100), objective)
+    narrow = ScoringModel(np.arange(1.0, 11.0), objective)
+    ref = ModelRef(wide)
+    with MicroBatcher(ref, lanes=1, max_batch=8, max_delay_us=0.0) as batcher:
+        # Holding the queue lock keeps the lane from taking a batch, so both
+        # queries are queued under `wide` and scored under `narrow`.
+        with batcher._cond:
+            valid = batcher.submit([2, 7], [1.0, 0.5])
+            stale = batcher.submit([3, 50], [1.0, 1.0])
+            ref.swap(narrow)
+        response = valid.result(timeout=10.0)
+        with pytest.raises(ValueError, match="out of range for a 10-feature model"):
+            stale.result(timeout=10.0)
+    assert response["model_version"] == narrow.version
+    assert response["margin"] == pytest.approx(3.0 + 0.5 * 8.0)
+
+
 def test_submit_after_close_raises(served):
     X, model = served
     batcher = MicroBatcher(model)

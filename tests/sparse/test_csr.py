@@ -55,6 +55,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRMatrix.from_rows([([5], [1.0])], n_cols=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(ValueError, match="data must be finite"):
+            CSRMatrix(data=[bad], indices=[0], indptr=[0, 1], n_cols=1)
+        with pytest.raises(ValueError, match="data must be finite"):
+            CSRMatrix.from_rows([([0, 2], [1.0, bad])], n_cols=3)
+
     def test_mismatched_row_shapes_rejected(self):
         with pytest.raises(ValueError):
             CSRMatrix.from_rows([([0, 1], [1.0])], n_cols=3)

@@ -40,6 +40,16 @@ class TestParseLine:
         with pytest.raises(ValueError, match=">= 1"):
             parse_libsvm_line("1 0:2.0")
 
+    @pytest.mark.parametrize("line", ["1 2:nan 3:1", "-1 1:inf", "1 4:-inf"])
+    def test_non_finite_value_raises(self, line):
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            parse_libsvm_line(line)
+
+    @pytest.mark.parametrize("line", ["nan 1:1", "inf 2:0.5", "-inf"])
+    def test_non_finite_label_raises(self, line):
+        with pytest.raises(ValueError, match="label must be finite"):
+            parse_libsvm_line(line)
+
 
 class TestLoadsLibsvm:
     def test_parses_multiple_rows(self):
@@ -55,6 +65,10 @@ class TestLoadsLibsvm:
     def test_blank_lines_ignored(self):
         X, y = loads_libsvm("\n1 1:1\n\n-1 1:2\n")
         assert X.n_rows == 2
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            loads_libsvm("1 2:nan 3:1\n-1 1:inf\nnan 1:1\n")
 
 
 class TestFileRoundtrip:

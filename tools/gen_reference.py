@@ -143,8 +143,7 @@ def _kernels_section() -> list[str]:
 
 
 def _async_modes_section() -> list[str]:
-    from repro.async_engine.modes import DEFAULT_ASYNC_MODE
-    from repro.runtime import capability_matrix
+    from repro.runtime import DEFAULT_ASYNC_MODE, capability_matrix
 
     def _flag(value: bool) -> str:
         return "yes" if value else "-"
