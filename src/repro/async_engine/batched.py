@@ -142,10 +142,6 @@ class BatchedSimulator:
     epoch_callback:
         Optional ``(epoch_index, model_snapshot)`` callable, as on
         :class:`AsyncSimulator`.
-    count_sample_draws:
-        Whether each iteration counts as one weighted sample draw in the
-        trace (True for ASGD-style solvers, False for VR inner loops);
-        ``None`` defers to the rule's ``counts_sample_draws`` metadata.
     """
 
     X: CSRMatrix
@@ -160,7 +156,6 @@ class BatchedSimulator:
     epoch_begin: Optional[Callable[["BatchedSimulator", int, EpochEvent], None]] = None
     epoch_end: Optional[Callable[["BatchedSimulator", int, EpochEvent], None]] = None
     epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
-    count_sample_draws: Optional[bool] = None
     #: Bounded-history override mirroring ``AsyncSimulator.history`` — the
     #: replay clamps and counts ``history_overflows`` with the identical
     #: window arithmetic, so traces stay bit-equal under an override too.
@@ -180,8 +175,6 @@ class BatchedSimulator:
         elif int(self.batch_size) < 1:
             raise ValueError("batch_size must be a positive int or 'auto'")
         self.kernel = resolve_backend(self.kernel)
-        if self.count_sample_draws is None:
-            self.count_sample_draws = self.update_rule.counts_sample_draws
         if self.epoch_begin is None:
             self.epoch_begin = self.update_rule.epoch_begin
         if self.epoch_end is None:
@@ -259,9 +252,11 @@ class BatchedSimulator:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-        keep_epoch_weights: bool = False,
     ) -> SimulationResult:
-        """Simulate ``epochs`` passes of batched asynchronous execution."""
+        """Simulate ``epochs`` passes of batched asynchronous execution.
+
+        The result carries a snapshot of the model after every epoch.
+        """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         d = self.X.n_cols
@@ -328,8 +323,7 @@ class BatchedSimulator:
             self.epoch_end(self, epoch, event)
             trace.add_epoch(event)
             snapshot = w.copy()
-            if keep_epoch_weights:
-                epoch_weights.append(snapshot)
+            epoch_weights.append(snapshot)
             if self.epoch_callback is not None:
                 self.epoch_callback(epoch, snapshot)
 
@@ -338,7 +332,7 @@ class BatchedSimulator:
         return SimulationResult(
             weights=w.copy(),
             trace=trace,
-            epoch_weights=epoch_weights if keep_epoch_weights else None,
+            epoch_weights=epoch_weights,
         )
 
     # ------------------------------------------------------------------ #
@@ -429,7 +423,6 @@ class BatchedSimulator:
             delays=delays,
             history_overflows=overflows,
             dense_coords_per_iteration=int(dense.shape[0]) if dense is not None else 0,
-            count_sample_draws=self.count_sample_draws,
         )
         if self.record_iterations and trace.iterations is not None:
             for k in range(n_iter):

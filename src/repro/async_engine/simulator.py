@@ -71,9 +71,6 @@ class AsyncSimulator:
         Kernel backend handed to rule epoch hooks (snapshot margins, table
         initialisation); instance, registry name or ``None`` for the
         configured default.
-    count_sample_draws:
-        Whether each iteration counts as one weighted sample draw in the
-        trace; ``None`` defers to the rule's ``counts_sample_draws``.
     record_iterations:
         Keep per-iteration events (memory-heavy; tests only).
     epoch_callback:
@@ -96,7 +93,6 @@ class AsyncSimulator:
     staleness: Optional[StalenessModel] = None
     seed: RandomState = 0
     kernel: Union[KernelBackend, str, None] = None
-    count_sample_draws: Optional[bool] = None
     record_iterations: bool = False
     epoch_callback: Optional[Callable[[int, np.ndarray], None]] = None
     history: Optional[int] = None
@@ -110,8 +106,6 @@ class AsyncSimulator:
         if self.staleness is None:
             self.staleness = UniformDelay(max(len(self.workers) - 1, 0))
         self.kernel = resolve_backend(self.kernel)
-        if self.count_sample_draws is None:
-            self.count_sample_draws = self.update_rule.counts_sample_draws
         self._model: Optional[SharedModel] = None
 
     @property
@@ -148,7 +142,6 @@ class AsyncSimulator:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-        keep_epoch_weights: bool = False,
     ) -> SimulationResult:
         """Simulate ``epochs`` passes of asynchronous execution.
 
@@ -161,8 +154,8 @@ class AsyncSimulator:
             Starting model (zeros by default).
         reshuffle / regenerate:
             Per-epoch sequence refresh policy forwarded to the workers.
-        keep_epoch_weights:
-            Store a snapshot of the model after every epoch in the result.
+
+        The result carries a snapshot of the model after every epoch.
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -213,7 +206,7 @@ class AsyncSimulator:
                         dense_coords=int(dense_coords),
                         conflicts=conflicts,
                         delay=delay,
-                        drew_sample=self.count_sample_draws,
+                        drew_sample=rule.counts_sample_draws,
                         history_overflow=overflowed,
                     )
                     if self.record_iterations and trace.iterations is not None:
@@ -233,8 +226,7 @@ class AsyncSimulator:
                 rule.epoch_end(self, epoch, event)
                 trace.add_epoch(event)
                 snapshot = model.snapshot()
-                if keep_epoch_weights:
-                    epoch_weights.append(snapshot)
+                epoch_weights.append(snapshot)
                 if self.epoch_callback is not None:
                     self.epoch_callback(epoch, snapshot)
         finally:
@@ -243,7 +235,7 @@ class AsyncSimulator:
         return SimulationResult(
             weights=model.snapshot(),
             trace=trace,
-            epoch_weights=epoch_weights if keep_epoch_weights else None,
+            epoch_weights=epoch_weights,
         )
 
 

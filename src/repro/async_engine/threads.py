@@ -106,7 +106,6 @@ class ThreadedRuleEngine:
         initial_weights: Optional[np.ndarray] = None,
         reshuffle: bool = True,
         regenerate: bool = False,
-        keep_epoch_weights: bool = False,
     ) -> SimulationResult:
         """Run ``epochs`` threaded epochs (same arguments as the simulators)."""
         if epochs < 1:
@@ -147,13 +146,12 @@ class ThreadedRuleEngine:
             )
             rule.epoch_end(self, epoch, event)
             trace.add_epoch(event)
-            if keep_epoch_weights:
-                epoch_weights.append(self.weights.copy())
+            epoch_weights.append(self.weights.copy())
 
         return SimulationResult(
             weights=self.weights.copy(),
             trace=trace,
-            epoch_weights=epoch_weights if keep_epoch_weights else None,
+            epoch_weights=epoch_weights,
         )
 
 

@@ -7,8 +7,9 @@ Two modes:
   resident dataset ``{"row": 3}`` (requires ``--query-dataset``).  One JSON
   response per line, in input order:
   ``{"margin": ..., "prediction": ..., "proba": ..., "model_version": ...,
-  "cached": ...}`` (an ``"id"`` field is echoed back when present).  Model
-  provenance and final queue statistics go to stderr.
+  "cached": ...}`` (an ``"id"`` field is echoed back when present); a
+  query that cannot be parsed or scored gets an ``{"error": ...}`` line in
+  its place.  Model provenance and final queue statistics go to stderr.
 
 * ``--smoke``: self-driving end-to-end exercise — train a tiny model into a
   temporary store, serve a few hundred queries through the micro-batcher,
@@ -149,7 +150,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def _flush(block: bool) -> None:
         while outstanding and (block or outstanding[0][0].done()):
             pending, echo_id = outstanding.popleft()
-            response = pending.result(timeout=60.0)
+            try:
+                response = pending.result(timeout=60.0)
+            except Exception as exc:  # a failed request gets its own error line
+                response = {"error": str(exc)}
             if echo_id is not None:
                 response = {"id": echo_id, **response}
             print(json.dumps(response))

@@ -14,7 +14,9 @@ respawning the fleet from the last checkpoint, re-shards checkpointed
 state bit-identically across membership changes
 (:func:`~repro.cluster.sharding.remap_flat`), and mitigates stragglers by
 work-stealing across the per-worker block queues when the measured
-:func:`~repro.cluster.cost_model.work_skew` warrants it.
+:func:`~repro.cluster.driver.occupancy_skew` of the per-worker iteration
+counts warrants it.  Checkpoints store arrays bit-exactly as JSON number
+lists, the codec run artifacts use.
 
 Selected per solver with ``async_mode="process"`` (or globally via
 ``REPRO_ASYNC_MODE=process``); see ``docs/cluster.md``.
@@ -24,13 +26,7 @@ from repro.cluster.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointStore,
     ClusterCheckpoint,
-)
-from repro.cluster.cost_model import (
-    ClusterCostModel,
-    ClusterCostParameters,
-    compare_traces,
-    occupancy_skew,
-    work_skew,
+    EpochSeries,
 )
 from repro.cluster.driver import (
     ClusterDriver,
@@ -38,6 +34,7 @@ from repro.cluster.driver import (
     WorkerFailure,
     available_parallelism,
     default_start_method,
+    occupancy_skew,
 )
 from repro.cluster.sharding import (
     ShardPlan,
@@ -53,14 +50,11 @@ __all__ = [
     "ClusterDriver",
     "ClusterRunResult",
     "WorkerFailure",
-    "ClusterCostModel",
-    "ClusterCostParameters",
     "CheckpointStore",
     "ClusterCheckpoint",
     "CHECKPOINT_FORMAT_VERSION",
-    "compare_traces",
+    "EpochSeries",
     "occupancy_skew",
-    "work_skew",
     "ShardPlan",
     "range_shard_plan",
     "coloring_shard_plan",

@@ -16,22 +16,24 @@ take a consistent cut of the whole run:
   epoch — each worker's per-epoch sequence is derived from
   ``(seed_root, worker_id, epoch)`` alone, so a resumed fleet replays the
   exact same draws whatever its size);
-* the measured counters folded so far (the
-  :class:`~repro.async_engine.events.ExecutionTrace` and the per-epoch
-  seconds/delay/skew series).
+* the measured counters folded so far and the per-epoch record
+  (:class:`EpochSeries`: the :class:`~repro.async_engine.events.ExecutionTrace`
+  and the per-epoch seconds/delay/skew/steal/weight series).
 
 :class:`CheckpointStore` persists checkpoints as content-addressed JSON in
-the PR 4 artifact-store idiom — the filename is derived from the run's
+the artifact-store idiom — the filename is derived from the run's
 *identity* (data digest, objective, rule, step size, seed — deliberately
 **excluding** cluster membership) plus the epoch, and writes are atomic
 (:func:`repro.experiments.store.atomic_write_json`), so a run killed
-mid-checkpoint never leaves a half-artifact.  Arrays are encoded as
-base64 of their raw bytes: restore is bit-exact, not merely close.
+mid-checkpoint never leaves a half-artifact.  Arrays are stored as JSON
+number lists, the codec run artifacts use for their weights: Python's
+shortest round-trip float repr makes restore bit-exact (``-0.0``,
+subnormals and ``±inf`` included; a NaN comes back as NaN), not merely
+close.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,24 +44,71 @@ import numpy as np
 from repro.async_engine.events import ExecutionTrace
 
 #: On-disk checkpoint schema version (bump on incompatible layout changes).
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
-def encode_array(array: np.ndarray) -> Dict[str, Any]:
-    """JSON-safe bit-exact encoding of a NumPy array (dtype, shape, base64)."""
-    arr = np.ascontiguousarray(array)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+def _to_list(array: Optional[np.ndarray]) -> Optional[list]:
+    return None if array is None else np.asarray(array).tolist()
 
 
-def decode_array(payload: Dict[str, Any]) -> np.ndarray:
-    """Invert :func:`encode_array` (returns a fresh writable array)."""
-    raw = base64.b64decode(payload["data"])
-    arr = np.frombuffer(raw, dtype=payload["dtype"]).reshape(payload["shape"])
-    return arr.copy()
+def _to_array(values: Optional[list], dtype) -> Optional[np.ndarray]:
+    return None if values is None else np.array(values, dtype=dtype)
+
+
+@dataclass
+class EpochSeries:
+    """The per-epoch record of a cluster run, one entry per completed epoch.
+
+    The driver appends to it at every epoch barrier, each checkpoint
+    carries a copy of it, and :class:`~repro.cluster.driver.ClusterRunResult`
+    extends it with the final weights and run info.
+
+    Attributes
+    ----------
+    trace:
+        The measured :class:`ExecutionTrace` (one ``EpochEvent`` per epoch).
+    epoch_seconds:
+        Measured wall-clock seconds of every epoch.
+    epoch_mean_delay:
+        Mean measured read-to-write lag per iteration.
+    epoch_occupancy_skew:
+        Shard-occupancy skew of every epoch's writes (see
+        :func:`~repro.cluster.driver.occupancy_skew`).
+    epoch_steals:
+        Blocks executed by a worker other than their owner.
+    epoch_weights:
+        The parameter vector after every epoch, in global coordinate order.
+    """
+
+    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
+    epoch_seconds: List[float] = field(default_factory=list)
+    epoch_mean_delay: List[float] = field(default_factory=list)
+    epoch_occupancy_skew: List[float] = field(default_factory=list)
+    epoch_steals: List[int] = field(default_factory=list)
+    epoch_weights: List[np.ndarray] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready payload (inverse of :meth:`from_dict`)."""
+        return {
+            "trace": self.trace.to_dict(),
+            "epoch_seconds": [float(s) for s in self.epoch_seconds],
+            "epoch_mean_delay": [float(s) for s in self.epoch_mean_delay],
+            "epoch_occupancy_skew": [float(s) for s in self.epoch_occupancy_skew],
+            "epoch_steals": [int(s) for s in self.epoch_steals],
+            "epoch_weights": [_to_list(w) for w in self.epoch_weights],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "EpochSeries":
+        """Rebuild a series from :meth:`to_dict` output."""
+        return cls(
+            trace=ExecutionTrace.from_dict(payload["trace"]),
+            epoch_seconds=[float(s) for s in payload["epoch_seconds"]],
+            epoch_mean_delay=[float(s) for s in payload["epoch_mean_delay"]],
+            epoch_occupancy_skew=[float(s) for s in payload["epoch_occupancy_skew"]],
+            epoch_steals=[int(s) for s in payload["epoch_steals"]],
+            epoch_weights=[_to_array(w, np.float64) for w in payload["epoch_weights"]],
+        )
 
 
 @dataclass
@@ -80,20 +129,20 @@ class ClusterCheckpoint:
     rule:
         Update-rule registry name of the run.
     rule_state:
-        Rule-specific shared state, all arrays in global coordinate order
-        where layout applies (SAGA: ``saga_coefs``, ``saga_avg``; empty for
-        rules whose epoch state is derived from the weights).
+        Rule-specific shared float64 state, all arrays in global coordinate
+        order where layout applies (SAGA: ``saga_coefs``, ``saga_avg``;
+        empty for rules whose epoch state is derived from the weights).
     sampler:
         ``{"seed_root": int, "next_epoch_seeds": [int, ...]}`` — the
         deterministic sampler stream position.
     counters:
-        Cumulative measured counter totals at the cut (column layout of
-        :mod:`repro.cluster.worker`), folded over workers so the record
+        Cumulative measured int64 counter totals at the cut (column layout
+        of :mod:`repro.cluster.worker`), folded over workers so the record
         survives membership changes.
     shard_write_totals:
-        Cumulative per-shard coordinate-write totals at the cut.
-    trace:
-        The measured :class:`ExecutionTrace` of the completed epochs.
+        Cumulative int64 per-shard coordinate-write totals at the cut.
+    series:
+        The :class:`EpochSeries` of the completed epochs.
     """
 
     identity: Dict[str, Any]
@@ -107,40 +156,24 @@ class ClusterCheckpoint:
     sampler: Dict[str, Any] = field(default_factory=dict)
     counters: Optional[np.ndarray] = None
     shard_write_totals: Optional[np.ndarray] = None
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    epoch_seconds: List[float] = field(default_factory=list)
-    epoch_mean_delay: List[float] = field(default_factory=list)
-    epoch_occupancy_skew: List[float] = field(default_factory=list)
-    epoch_steals: List[int] = field(default_factory=list)
-    epoch_weights: Optional[List[np.ndarray]] = None
+    series: EpochSeries = field(default_factory=EpochSeries)
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready payload (arrays bit-exact via :func:`encode_array`)."""
+        """JSON-ready payload (arrays as bit-exact JSON number lists)."""
         return {
             "identity": self.identity,
             "epoch": int(self.epoch),
             "num_workers": int(self.num_workers),
             "num_shards": int(self.num_shards),
             "shard_scheme": self.shard_scheme,
-            "weights": encode_array(self.weights),
+            "weights": _to_list(self.weights),
             "rule": self.rule,
-            "rule_state": {k: encode_array(v) for k, v in self.rule_state.items()},
+            "rule_state": {k: _to_list(v) for k, v in self.rule_state.items()},
             "sampler": self.sampler,
-            "counters": encode_array(self.counters) if self.counters is not None else None,
-            "shard_write_totals": (
-                encode_array(self.shard_write_totals)
-                if self.shard_write_totals is not None else None
-            ),
-            "trace": self.trace.to_dict(),
-            "epoch_seconds": [float(s) for s in self.epoch_seconds],
-            "epoch_mean_delay": [float(s) for s in self.epoch_mean_delay],
-            "epoch_occupancy_skew": [float(s) for s in self.epoch_occupancy_skew],
-            "epoch_steals": [int(s) for s in self.epoch_steals],
-            "epoch_weights": (
-                [encode_array(w) for w in self.epoch_weights]
-                if self.epoch_weights is not None else None
-            ),
+            "counters": _to_list(self.counters),
+            "shard_write_totals": _to_list(self.shard_write_totals),
+            "series": self.series.to_dict(),
         }
 
     @classmethod
@@ -152,32 +185,16 @@ class ClusterCheckpoint:
             num_workers=int(payload["num_workers"]),
             num_shards=int(payload["num_shards"]),
             shard_scheme=payload["shard_scheme"],
-            weights=decode_array(payload["weights"]),
+            weights=_to_array(payload["weights"], np.float64),
             rule=payload["rule"],
-            rule_state={k: decode_array(v) for k, v in payload["rule_state"].items()},
+            rule_state={
+                k: _to_array(v, np.float64) for k, v in payload["rule_state"].items()
+            },
             sampler=dict(payload["sampler"]),
-            counters=(
-                decode_array(payload["counters"])
-                if payload.get("counters") is not None else None
-            ),
-            shard_write_totals=(
-                decode_array(payload["shard_write_totals"])
-                if payload.get("shard_write_totals") is not None else None
-            ),
-            trace=ExecutionTrace.from_dict(payload["trace"]),
-            epoch_seconds=list(payload.get("epoch_seconds", [])),
-            epoch_mean_delay=list(payload.get("epoch_mean_delay", [])),
-            epoch_occupancy_skew=list(payload.get("epoch_occupancy_skew", [])),
-            epoch_steals=[int(s) for s in payload.get("epoch_steals", [])],
-            epoch_weights=(
-                [decode_array(w) for w in payload["epoch_weights"]]
-                if payload.get("epoch_weights") is not None else None
-            ),
+            counters=_to_array(payload["counters"], np.int64),
+            shard_write_totals=_to_array(payload["shard_write_totals"], np.int64),
+            series=EpochSeries.from_dict(payload["series"]),
         )
-
-    def copy(self) -> "ClusterCheckpoint":
-        """A deep, independent copy (the driver's in-memory checkpoint)."""
-        return ClusterCheckpoint.from_dict(self.to_dict())
 
 
 class CheckpointStore:
@@ -277,6 +294,5 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "ClusterCheckpoint",
     "CheckpointStore",
-    "encode_array",
-    "decode_array",
+    "EpochSeries",
 ]

@@ -35,9 +35,9 @@ The cluster is **elastic and fault-tolerant**:
   :class:`~repro.cluster.sharding.ShardPlan` and remaps the state onto the
   new layout bit-identically (dynamic re-sharding);
 * stragglers are mitigated by work-stealing across the per-worker block
-  queues, armed per epoch when the planned or measured
-  :func:`~repro.cluster.cost_model.work_skew` exceeds
-  ``steal_skew_threshold`` (or forced with ``work_stealing=True``).
+  queues, armed per epoch when the planned or measured skew of the
+  per-worker iteration counts exceeds :data:`STEAL_SKEW_THRESHOLD` (or
+  forced with ``work_stealing=True``).
 
 Solvers select this tier with ``async_mode="process"`` (see
 :mod:`repro.runtime`); it is the first execution path in the
@@ -46,6 +46,7 @@ repository whose throughput scales with physical cores.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import multiprocessing as mp
 import os
@@ -57,9 +58,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.async_engine.events import EpochEvent, ExecutionTrace
-from repro.cluster.checkpoint import CheckpointStore, ClusterCheckpoint
-from repro.cluster.cost_model import ClusterCostModel, occupancy_skew, work_skew
+from repro.async_engine.events import EpochEvent
+from repro.cluster.checkpoint import CheckpointStore, ClusterCheckpoint, EpochSeries
 from repro.cluster.sharding import ShardPlan, make_shard_plan
 from repro.cluster.shm import ShmArena
 from repro.cluster.worker import (
@@ -70,18 +70,39 @@ from repro.cluster.worker import (
     COL_STEALS,
     NUM_COUNTER_COLS,
     WorkerTask,
-    build_rule,
     run_worker,
 )
 from repro.core.partition import Partition
 from repro.objectives.base import Objective
 from repro.runtime.trace_fold import fold_sync_step, fold_worker_counters
-from repro.rules import available_rules
+from repro.rules import available_rules, make_rule
 from repro.sparse.csr import CSRMatrix
 from repro.utils.rng import RandomState, as_rng
 
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV_VAR = "REPRO_CLUSTER_START_METHOD"
+
+#: ``work_stealing="auto"`` arms stealing for an epoch when the planned or
+#: last measured :func:`occupancy_skew` of the per-worker iteration counts
+#: exceeds this.
+STEAL_SKEW_THRESHOLD = 0.05
+
+
+def occupancy_skew(counts: Sequence[float]) -> float:
+    """Normalised concentration of ``counts`` over their bins.
+
+    ``n * Σ_s f_s² - 1`` where ``f_s`` is bin ``s``'s share of the total:
+    0.0 when the counts spread evenly, growing to ``n - 1`` when a single
+    bin takes everything.  Over shards' coordinate writes it is the
+    shard-granularity analogue of the simulator's conflict rate; over the
+    workers' iteration counts it measures the imbalance work-stealing
+    mitigates.
+    """
+    f = np.asarray(counts, dtype=np.float64)
+    if f.size == 0 or f.sum() <= 0.0:
+        return 0.0
+    f = f / f.sum()
+    return float(f.size * np.sum(f * f) - 1.0)
 
 
 def default_start_method() -> str:
@@ -168,16 +189,14 @@ def _collect_worker_failure(procs, arena: ShmArena) -> WorkerFailure:
 
 
 @dataclass
-class ClusterRunResult:
-    """Outcome of :meth:`ClusterDriver.run` (the cluster's ``SimulationResult``)."""
+class ClusterRunResult(EpochSeries):
+    """Outcome of :meth:`ClusterDriver.run` (the cluster's ``SimulationResult``).
 
-    weights: np.ndarray
-    trace: ExecutionTrace
-    epoch_weights: Optional[List[np.ndarray]] = None
-    epoch_seconds: List[float] = field(default_factory=list)
-    epoch_mean_delay: List[float] = field(default_factory=list)
-    epoch_occupancy_skew: List[float] = field(default_factory=list)
-    epoch_steals: List[int] = field(default_factory=list)
+    The run's :class:`~repro.cluster.checkpoint.EpochSeries` plus the final
+    weights, the per-shard write fractions and the run info.
+    """
+
+    weights: Optional[np.ndarray] = None
     shard_write_fractions: Optional[np.ndarray] = None
     info: Dict[str, Any] = field(default_factory=dict)
 
@@ -192,12 +211,7 @@ class _RunState:
     """Mutable bookkeeping of one :meth:`ClusterDriver.run` invocation."""
 
     start_epoch: int = 0
-    trace: ExecutionTrace = field(default_factory=ExecutionTrace)
-    epoch_weights: List[np.ndarray] = field(default_factory=list)
-    epoch_seconds: List[float] = field(default_factory=list)
-    epoch_mean_delay: List[float] = field(default_factory=list)
-    epoch_occ: List[float] = field(default_factory=list)
-    epoch_steals: List[int] = field(default_factory=list)
+    series: EpochSeries = field(default_factory=EpochSeries)
     prev_counters: Optional[np.ndarray] = None
     prev_shard_writes: Optional[np.ndarray] = None
     base_counters: Optional[np.ndarray] = None       # totals before this fleet
@@ -261,8 +275,9 @@ class ClusterDriver:
         death raises :class:`WorkerFailure` immediately).
     work_stealing:
         ``"auto"`` (default) arms stealing for an epoch when the planned or
-        previously measured :func:`~repro.cluster.cost_model.work_skew`
-        exceeds ``steal_skew_threshold``; ``True``/``False`` force it.
+        previously measured :func:`occupancy_skew` of the per-worker
+        iteration counts exceeds :data:`STEAL_SKEW_THRESHOLD`;
+        ``True``/``False`` force it.
         SAGA never steals (its coefficient-table rows are owned per shard).
     fault_hook:
         Optional observer ``hook(kind, payload)`` called at
@@ -283,8 +298,6 @@ class ClusterDriver:
         importance_sampling: bool = False,
         step_clip: float = 100.0,
         rule: str = "sgd",
-        skip_dense_term: bool = False,
-        count_sample_draws: Optional[bool] = None,
         shard_scheme: str = "range",
         num_shards: Optional[int] = None,
         coloring_max_features: int = 2000,
@@ -296,8 +309,6 @@ class ClusterDriver:
         checkpoint_every: int = 1,
         max_respawns: int = 3,
         work_stealing: Union[bool, str] = "auto",
-        steal_skew_threshold: float = 0.05,
-        run_id: Optional[str] = None,
         fault_hook: Optional[Callable[[str, Dict[str, Any]], None]] = None,
     ) -> None:
         if y.shape[0] != X.n_rows:
@@ -320,18 +331,6 @@ class ClusterDriver:
         self.importance_sampling = bool(importance_sampling)
         self.step_clip = float(step_clip)
         self.rule = rule
-        self.skip_dense_term = bool(skip_dense_term) or rule == "svrg_skip_dense"
-        # A prototype rule instance supplies the trace metadata defaults
-        # (sample-draw accounting) and, for SAGA, the initial table state —
-        # built through the same mapping the worker processes use.
-        self._proto_rule = build_rule(
-            rule, objective, float(step_size), skip_dense_term=self.skip_dense_term
-        )
-        self.count_sample_draws = (
-            bool(count_sample_draws)
-            if count_sample_draws is not None
-            else bool(self._proto_rule.counts_sample_draws)
-        )
         self.num_workers = partition.num_workers
         self.num_shards = int(num_shards) if num_shards else self.num_workers
         self.shard_scheme = shard_scheme
@@ -349,8 +348,6 @@ class ClusterDriver:
         self.checkpoint_every = int(checkpoint_every)
         self.max_respawns = int(max_respawns)
         self.work_stealing = work_stealing
-        self.steal_skew_threshold = float(steal_skew_threshold)
-        self.run_id = run_id
         self.fault_hook = fault_hook
         # The sampler seed root: every per-(worker, epoch) sequence seed is
         # derived from it alone, independently of fleet size or epoch count
@@ -400,12 +397,10 @@ class ClusterDriver:
                 "objective": type(self.objective).__name__,
                 "regularizer": type(regularizer).__name__ if regularizer is not None else None,
                 "rule": self.rule,
-                "skip_dense_term": bool(self.skip_dense_term),
                 "step_size": float(self.step_size),
                 "importance_sampling": bool(self.importance_sampling),
                 "step_clip": float(self.step_clip),
                 "seed_root": self._seed_root,
-                "run_id": self.run_id,
             }
         return self._identity
 
@@ -415,7 +410,6 @@ class ClusterDriver:
         epochs: int,
         *,
         initial_weights: Optional[np.ndarray] = None,
-        keep_epoch_weights: bool = True,
         resume: bool = False,
     ) -> ClusterRunResult:
         """Execute ``epochs`` epochs on the process cluster.
@@ -449,7 +443,7 @@ class ClusterDriver:
             state.base_shard_totals = np.zeros(self.plan.num_shards, np.int64)
 
             if restored is not None:
-                self._restore(arena, state, restored, keep_epoch_weights)
+                self._restore(arena, state, restored)
                 state.start_epoch = state.resumed_from = restored.epoch
             else:
                 if initial_weights is not None:
@@ -458,8 +452,8 @@ class ClusterDriver:
                     )
                 if self.rule == "saga":
                     self._init_saga_state(arena)
-            state.mem_ckpt = self._capture(arena, state, state.start_epoch, keep_epoch_weights)
-            return self._drive(epochs, arena, state, sampling, keep_epoch_weights)
+            state.mem_ckpt = self._capture(arena, state, state.start_epoch)
+            return self._drive(epochs, arena, state, sampling)
         finally:
             arena.close()
 
@@ -554,16 +548,14 @@ class ClusterDriver:
         from repro.kernels.registry import resolve_backend
 
         w0 = self.plan.unflatten(arena["weights"])
-        coefs0, avg0 = self._proto_rule.initial_state(
+        coefs0, avg0 = make_rule(self.rule, self.objective, self.step_size).initial_state(
             self.X, self.y, w0, resolve_backend(self.kernel_name)
         )
         arena["saga_coefs"][...] = coefs0
         arena["saga_avg"][...] = self.plan.flatten_vector(avg0)
 
     # ------------------------------------------------------------------ #
-    def _capture(
-        self, arena: ShmArena, state: _RunState, epoch: int, keep_epoch_weights: bool
-    ) -> ClusterCheckpoint:
+    def _capture(self, arena: ShmArena, state: _RunState, epoch: int) -> ClusterCheckpoint:
         """A shard-consistent checkpoint of the quiescent arena at ``epoch``."""
         rule_state: Dict[str, np.ndarray] = {}
         if self.rule == "saga":
@@ -589,24 +581,10 @@ class ClusterDriver:
             counters=state.base_counters + state.prev_counters.sum(axis=0),
             shard_write_totals=state.base_shard_totals
             + state.prev_shard_writes.sum(axis=0),
-            trace=ExecutionTrace.from_dict(state.trace.to_dict()),
-            epoch_seconds=list(state.epoch_seconds),
-            epoch_mean_delay=list(state.epoch_mean_delay),
-            epoch_occupancy_skew=list(state.epoch_occ),
-            epoch_steals=list(state.epoch_steals),
-            epoch_weights=(
-                [np.array(w, copy=True) for w in state.epoch_weights]
-                if keep_epoch_weights else None
-            ),
+            series=copy.deepcopy(state.series),
         )
 
-    def _restore(
-        self,
-        arena: ShmArena,
-        state: _RunState,
-        checkpoint: ClusterCheckpoint,
-        keep_epoch_weights: bool,
-    ) -> None:
+    def _restore(self, arena: ShmArena, state: _RunState, checkpoint: ClusterCheckpoint) -> None:
         """Load ``checkpoint`` into the arena and roll the run state back.
 
         The checkpoint stores layout-independent (global-order) arrays, so
@@ -644,16 +622,7 @@ class ClusterDriver:
             # Shard count changed across the restore: per-shard attribution
             # of the earlier segment no longer maps; fractions restart.
             state.base_shard_totals = np.zeros(self.plan.num_shards, np.int64)
-        state.trace = ExecutionTrace.from_dict(checkpoint.trace.to_dict())
-        state.epoch_seconds = list(checkpoint.epoch_seconds)
-        state.epoch_mean_delay = list(checkpoint.epoch_mean_delay)
-        state.epoch_occ = list(checkpoint.epoch_occupancy_skew)
-        state.epoch_steals = list(checkpoint.epoch_steals)
-        state.epoch_weights = (
-            [w.copy() for w in checkpoint.epoch_weights]
-            if keep_epoch_weights and checkpoint.epoch_weights is not None
-            else []
-        )
+        state.series = copy.deepcopy(checkpoint.series)
         state.last_work_skew = 0.0
 
     # ------------------------------------------------------------------ #
@@ -693,8 +662,6 @@ class ClusterDriver:
                 step_size=self.step_size,
                 objective=self.objective,
                 rule=self.rule,
-                skip_dense_term=self.skip_dense_term,
-                count_sample_draws=self.count_sample_draws,
                 batch_size=self.resolved_batch_size(iters),
                 kernel_name=self.kernel_name,
                 has_flat_of=self.plan.flat_of is not None,
@@ -721,8 +688,8 @@ class ClusterDriver:
         elif self.work_stealing is False:
             armed = False
         else:  # "auto": planned partition skew or last epoch's measured skew
-            planned = work_skew(np.asarray(self._iterations, dtype=np.float64))
-            armed = max(planned, state.last_work_skew) > self.steal_skew_threshold
+            planned = occupancy_skew(self._iterations)
+            armed = max(planned, state.last_work_skew) > STEAL_SKEW_THRESHOLD
         arena["steal_enabled"][0] = 1 if armed else 0
         return armed
 
@@ -787,7 +754,6 @@ class ClusterDriver:
         arena: ShmArena,
         procs,
         state: _RunState,
-        keep_epoch_weights: bool,
         total_inner: int,
     ) -> None:
         """Drive one epoch: prep, two barrier generations, counter folding."""
@@ -831,7 +797,7 @@ class ClusterDriver:
         )
         self._await_arrivals(arena, procs, gen_end)    # workers finished, parked
 
-        if is_svrg and self.skip_dense_term:
+        if self.rule == "svrg_skip_dense":
             # Accumulated dense term, applied once per epoch (the
             # paper's skip-µ ablation), exactly as the simulated
             # engines do.
@@ -851,19 +817,16 @@ class ClusterDriver:
             event, delta,
             max_delay=int(snap_counters[:, COL_MAX_DELAY].max(initial=0)),
         )
-        state.trace.add_epoch(event)
-        state.epoch_seconds.append(elapsed)
-        state.epoch_mean_delay.append(
-            float(delta[:, COL_DELAY_SUM].sum()) / max(iters, 1)
-        )
-        totals = shard_delta.sum(axis=0)
-        state.epoch_occ.append(occupancy_skew(totals))
-        state.epoch_steals.append(int(delta[:, COL_STEALS].sum()))
+        series = state.series
+        series.trace.add_epoch(event)
+        series.epoch_seconds.append(elapsed)
+        series.epoch_mean_delay.append(float(delta[:, COL_DELAY_SUM].sum()) / max(iters, 1))
+        series.epoch_occupancy_skew.append(occupancy_skew(shard_delta.sum(axis=0)))
+        series.epoch_steals.append(int(delta[:, COL_STEALS].sum()))
+        series.epoch_weights.append(self.plan.unflatten(w))
         if armed:
             state.steal_epochs += 1
-        state.last_work_skew = work_skew(delta[:, COL_ITERATIONS].astype(np.float64))
-        if keep_epoch_weights:
-            state.epoch_weights.append(self.plan.unflatten(w))
+        state.last_work_skew = occupancy_skew(delta[:, COL_ITERATIONS])
         # Everything above read the arena while every worker was parked at
         # the end generation (fully quiescent); now let them move on.
         self._release(arena, gen_end)
@@ -874,7 +837,6 @@ class ClusterDriver:
         arena: ShmArena,
         state: _RunState,
         sampling,
-        keep_epoch_weights: bool,
     ) -> ClusterRunResult:
         ctx = mp.get_context(self.start_method)
         total_inner = sum(self._iterations)
@@ -886,10 +848,7 @@ class ClusterDriver:
             epoch = state.start_epoch
             while epoch < epochs:
                 try:
-                    self._run_epoch(
-                        epoch, fleet_start, arena, procs, state,
-                        keep_epoch_weights, total_inner,
-                    )
+                    self._run_epoch(epoch, fleet_start, arena, procs, state, total_inner)
                 except WorkerFailure:
                     self._reap(procs)
                     state.respawns += 1
@@ -903,11 +862,11 @@ class ClusterDriver:
                         "respawn",
                         {"epoch": epoch, "respawns": state.respawns},
                     )
-                    self._restore(arena, state, state.mem_ckpt, keep_epoch_weights)
+                    self._restore(arena, state, state.mem_ckpt)
                     procs = self._spawn_fleet(ctx, arena, sampling, epoch, epochs)
                     continue
                 epoch += 1
-                state.mem_ckpt = self._capture(arena, state, epoch, keep_epoch_weights)
+                state.mem_ckpt = self._capture(arena, state, epoch)
                 if self.checkpoint_store is not None and (
                     epoch % self.checkpoint_every == 0 or epoch == epochs
                 ):
@@ -935,6 +894,7 @@ class ClusterDriver:
             state.base_shard_totals + state.prev_shard_writes.sum(axis=0)
         ).astype(np.float64)
         fractions = totals / totals.sum() if totals.sum() > 0 else totals
+        series = state.series
         info = {
             "backend": "process",
             "num_workers": self.num_workers,
@@ -943,10 +903,13 @@ class ClusterDriver:
             "start_method": self.start_method,
             "available_parallelism": available_parallelism(),
             "mean_measured_delay": (
-                float(np.mean(state.epoch_mean_delay)) if state.epoch_mean_delay else 0.0
+                float(np.mean(series.epoch_mean_delay)) if series.epoch_mean_delay else 0.0
             ),
-            "measured_conflict_rate": state.trace.conflict_rate(),
-            "occupancy_skew": float(np.mean(state.epoch_occ)) if state.epoch_occ else 0.0,
+            "measured_conflict_rate": series.trace.conflict_rate(),
+            "occupancy_skew": (
+                float(np.mean(series.epoch_occupancy_skew))
+                if series.epoch_occupancy_skew else 0.0
+            ),
             "fault_tolerant": self.max_respawns > 0,
             "respawns": state.respawns,
             "resumed_from_epoch": state.resumed_from,
@@ -955,29 +918,22 @@ class ClusterDriver:
                 else ("on" if self.work_stealing else "off")
             ),
             "steal_epochs": state.steal_epochs,
-            "steal_count": int(sum(state.epoch_steals)),
+            "steal_count": int(sum(series.epoch_steals)),
             "checkpoint_every": self.checkpoint_every,
             "checkpoints_persisted": state.checkpoints_persisted,
         }
         return ClusterRunResult(
-            weights=final,
-            trace=state.trace,
-            epoch_weights=state.epoch_weights if keep_epoch_weights else None,
-            epoch_seconds=state.epoch_seconds,
-            epoch_mean_delay=state.epoch_mean_delay,
-            epoch_occupancy_skew=state.epoch_occ,
-            epoch_steals=state.epoch_steals,
-            shard_write_fractions=fractions,
-            info=info,
+            **vars(series), weights=final, shard_write_fractions=fractions, info=info
         )
 
 
 __all__ = [
     "ClusterDriver",
     "ClusterRunResult",
-    "ClusterCostModel",
     "WorkerFailure",
     "default_start_method",
     "available_parallelism",
     "START_METHOD_ENV_VAR",
+    "STEAL_SKEW_THRESHOLD",
+    "occupancy_skew",
 ]

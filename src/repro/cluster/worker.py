@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.cluster.shm import ArenaSpec, ShmArena
 from repro.core.sampler import SampleSequence
+from repro.rules import make_rule
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import segment_bool_any
 from repro.utils.rng import as_rng
@@ -137,8 +138,6 @@ class WorkerTask:
     step_size: float
     objective: object                   # repro Objective (picklable)
     rule: str = "sgd"                   # registry name from repro.rules
-    skip_dense_term: bool = False
-    count_sample_draws: bool = True
     batch_size: int = 256
     seed: int = 0                       # fallback seed when epoch_seeds is absent
     kernel_name: Optional[str] = None
@@ -179,34 +178,6 @@ def run_worker(task: WorkerTask, lock=None) -> None:
         raise
     finally:
         arena.close()
-
-
-def build_rule(rule: str, objective, step_size: float, *, skip_dense_term: bool = False):
-    """Instantiate a cluster-side update rule from the registry.
-
-    The SVRG family shares one class (``skip_dense_term`` selects the
-    ablation); everything else maps straight through :func:`make_rule`.
-    The driver (trace-metadata prototype, SAGA table init) and the workers
-    build their rule through this one mapping so they can never diverge.
-    """
-    from repro.rules import make_rule
-
-    if rule in ("svrg", "svrg_skip_dense"):
-        return make_rule(
-            "svrg",
-            objective,
-            float(step_size),
-            skip_dense_term=skip_dense_term or rule == "svrg_skip_dense",
-        )
-    return make_rule(rule, objective, float(step_size))
-
-
-def build_task_rule(task: WorkerTask):
-    """The worker-process entry to :func:`build_rule`."""
-    return build_rule(
-        task.rule, task.objective, task.step_size,
-        skip_dense_term=task.skip_dense_term,
-    )
 
 
 def _claim_block(
@@ -274,7 +245,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
     all_step_weights = arena["all_step_weights"]
     row_offsets = arena["row_offsets"]
 
-    rule = build_task_rule(task)
+    rule = make_rule(task.rule, task.objective, task.step_size)
     if task.epoch_seeds is not None:
         epoch_seeds = np.asarray(task.epoch_seeds, dtype=np.int64)
     else:
@@ -386,7 +357,7 @@ def _worker_loop(task: WorkerTask, lock, arena: ShmArena, kernel) -> None:
                     row_c[COL_MAX_DELAY] = delay
             if dense_step is not None:
                 row_c[COL_DENSE_WRITES] += n_iter * int(dense_step.shape[0])
-            if task.count_sample_draws:
+            if rule.counts_sample_draws:
                 row_c[COL_SAMPLE_DRAWS] += n_iter
 
         barrier_phase(barrier_arrive, barrier_state, wid, 2 * k + 2)  # epoch end
@@ -397,8 +368,6 @@ __all__ = [
     "run_worker",
     "barrier_phase",
     "BarrierAborted",
-    "build_rule",
-    "build_task_rule",
     "NUM_COUNTER_COLS",
     "COL_ITERATIONS",
     "COL_SPARSE_WRITES",

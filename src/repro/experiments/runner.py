@@ -395,7 +395,14 @@ class ExperimentRunner(RecordSet):
         pending: List[Tuple[int, RunSpec, str, Dict[str, Any]]] = []
         for index, (spec, key, identity, status) in enumerate(plan):
             if status == "cached" and not force:
-                self.records[index] = self.store.load(key)  # type: ignore[union-attr]
+                try:
+                    self.records[index] = self.store.load(key)  # type: ignore[union-attr]
+                except ValueError as exc:
+                    # A corrupt artifact is a cache miss: re-train and
+                    # overwrite it (the save is atomic).
+                    LOGGER.warning("re-training over unreadable artifact %s: %s", key[:12], exc)
+                    pending.append((index, spec, key, identity))
+                    continue
                 self.stats.reused += 1
                 LOGGER.info("reusing artifact %s for %s/%s", key[:12], spec.dataset, spec.solver)
             else:

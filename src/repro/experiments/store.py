@@ -28,6 +28,9 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.configs import RunSpec
 from repro.metrics.tracing import RunRecord, _jsonable
+from repro.utils.logging import get_logger
+
+LOGGER = get_logger("experiments.store")
 
 #: On-disk artifact schema version (bump on incompatible layout changes).
 FORMAT_VERSION = 1
@@ -282,9 +285,22 @@ class ArtifactStore:
         return RunRecord.from_dict(self.load_entry(key)["record"])
 
     def entries(self) -> Iterator[Tuple[str, Dict[str, Any]]]:
-        """Iterate ``(key, entry)`` over every artifact (sorted by key)."""
+        """Iterate ``(key, entry)`` over every readable artifact (sorted by key).
+
+        A corrupt or wrong-version artifact is skipped, so one bad file
+        never hides the rest; the skipped count is logged as a warning.
+        """
+        skipped = 0
         for key in self.keys():
-            yield key, self.load_entry(key)
+            try:
+                entry = self.load_entry(key)
+            except ValueError as exc:
+                skipped += 1
+                LOGGER.warning("skipping artifact %s: %s", key[:12], exc)
+                continue
+            yield key, entry
+        if skipped:
+            LOGGER.warning("skipped %d unreadable artifact(s) under %s", skipped, self.root)
 
     def records(self) -> List[RunRecord]:
         """Every stored record, sorted by key."""

@@ -159,12 +159,6 @@ class ExecutionRequest:
     regenerate: bool = False
     iterations_per_worker: Optional[int] = None
 
-    def build_rule(self):
-        """Instantiate the requested update rule from the registry."""
-        from repro.rules import make_rule
-
-        return make_rule(self.rule, self.objective, self.step_size)
-
     def build_workers(self):
         """One :class:`SimulatedWorker` per shard (the in-process tiers)."""
         from repro.async_engine.worker import build_workers
@@ -222,11 +216,13 @@ class ExecutionBackend:
 # --------------------------------------------------------------------- #
 def _run_engine(engine_cls, request: ExecutionRequest, **engine_kwargs):
     """Run one in-process engine over the request's workers and rule."""
+    from repro.rules import make_rule
+
     engine = engine_cls(
         X=request.X,
         y=request.y,
         workers=request.build_workers(),
-        update_rule=request.build_rule(),
+        update_rule=make_rule(request.rule, request.objective, request.step_size),
         kernel=request.kernel,
         **engine_kwargs,
     )
@@ -235,7 +231,6 @@ def _run_engine(engine_cls, request: ExecutionRequest, **engine_kwargs):
         initial_weights=request.initial_weights,
         reshuffle=request.reshuffle,
         regenerate=request.regenerate,
-        keep_epoch_weights=True,
     )
 
 

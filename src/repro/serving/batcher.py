@@ -20,7 +20,8 @@ Swap-consistency contract: each lane pins *one* model reference per batch
 batch against it, so a concurrent hot swap never produces a mixed-weight
 response; each response names the model version that produced it.  A query
 validated against an older version is re-checked against the pinned model,
-so a swap to a narrower feature space fails only that query.  The
+so a swap to a narrower feature space fails only that query; so does a
+query whose margin overflows to a non-finite value.  The
 optional LRU result cache is keyed by ``(model version, row hash)``, so a
 swap implicitly invalidates every cached margin.
 """
@@ -28,6 +29,7 @@ swap implicitly invalidates every cached margin.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -284,6 +286,13 @@ class MicroBatcher:
             margins = model.decision_function_gathered(idx, val, lengths)
             for position, request in enumerate(fresh):
                 margin = float(margins[position])
+                if not math.isfinite(margin):
+                    # Finite inputs can still overflow the dot product; that
+                    # query alone gets an error instead of a non-JSON margin.
+                    request.pending._resolve(
+                        None, ValueError(f"query margin is not finite ({margin})")
+                    )
+                    continue
                 if request.cache_key is not None and self.cache is not None:
                     self.cache.put((version, request.cache_key), margin)
                 self._respond(request, model, margin, cached=False)

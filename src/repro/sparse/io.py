@@ -66,7 +66,6 @@ def load_libsvm(
     path: PathLike,
     *,
     n_features: Optional[int] = None,
-    zero_based: bool = False,
     max_rows: Optional[int] = None,
 ) -> Tuple[CSRMatrix, np.ndarray]:
     """Load a LibSVM file (optionally gzip-compressed).
@@ -78,8 +77,6 @@ def load_libsvm(
     n_features:
         Force the feature dimensionality; by default it is inferred as the
         maximum observed index + 1.
-    zero_based:
-        Set to True if the file already uses 0-based indices.
     max_rows:
         Optional cap on the number of rows read (useful for sub-sampling the
         very large KDD files).
@@ -98,12 +95,6 @@ def load_libsvm(
             if not stripped:
                 continue
             label, idx, val = parse_libsvm_line(stripped)
-            if zero_based:
-                pass
-            # parse_libsvm_line already converted to 0-based assuming 1-based
-            # input; undo the shift if the caller says the file is 0-based.
-            if zero_based and idx.size:
-                idx = idx + 1 - 1  # no-op for clarity; indices already >= 0
             labels.append(label)
             rows.append((idx, val))
             if idx.size:

@@ -204,7 +204,7 @@ class TestBatchedSimulator:
         calls = []
         sim = _make_batched(small_problem, batch_size=16)
         sim.epoch_callback = lambda epoch, w: calls.append(epoch)
-        result = sim.run(2, keep_epoch_weights=True)
+        result = sim.run(2)
         assert len(result.epoch_weights) == 2
         np.testing.assert_allclose(result.epoch_weights[-1], result.weights)
         assert calls == [0, 1]

@@ -46,7 +46,7 @@ class TestRun:
 
     def test_keep_epoch_weights(self, small_problem):
         sim = _make_simulator(small_problem)
-        result = sim.run(2, keep_epoch_weights=True)
+        result = sim.run(2)
         assert len(result.epoch_weights) == 2
         np.testing.assert_allclose(result.epoch_weights[-1], result.weights)
 

@@ -62,7 +62,7 @@ class TestThreadedRuleEngine:
             assert obj.full_loss(result.weights, small_problem.X, small_problem.y) < zero_loss
 
     def test_one_snapshot_per_epoch(self, small_problem, partition):
-        result = _engine(small_problem, partition, iterations=10).run(2, keep_epoch_weights=True)
+        result = _engine(small_problem, partition, iterations=10).run(2)
         assert len(result.epoch_weights) == 2
         assert len(result.trace.epochs) == 2
         np.testing.assert_array_equal(result.epoch_weights[-1], result.weights)

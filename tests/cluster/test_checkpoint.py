@@ -1,7 +1,7 @@
 """Checkpoint codec, store, and resume round-trip tests.
 
-The strongest guarantees in this suite are *bit-identity* ones: the array
-codec is exact, a checkpoint restored onto a new plan remaps weights
+The strongest guarantees in this suite are *bit-identity* ones: the
+checkpoint's JSON number-list codec is exact, a checkpoint restored onto a new plan remaps weights
 exactly, and — because the sampler stream is derived from
 ``(seed_root, worker_id, epoch)`` alone — a single-worker run resumed from
 a mid-run checkpoint replays the remaining epochs byte-identically to the
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CheckpointStore, ClusterDriver
-from repro.cluster.checkpoint import ClusterCheckpoint, decode_array, encode_array
+from repro.cluster.checkpoint import ClusterCheckpoint, EpochSeries
 from repro.core.balancing import random_order
 from repro.core.partition import partition_dataset
 from repro.datasets.synthetic import SyntheticSpec, make_sparse_classification
@@ -55,29 +55,57 @@ def _driver(problem, workers, store, **kwargs):
 
 
 class TestArrayCodec:
-    @pytest.mark.parametrize("dtype", ["float64", "int64", "int32", "float32"])
-    def test_round_trip_is_bit_exact(self, dtype):
+    """Checkpoint arrays are JSON number lists; save -> load is bit-exact."""
+
+    EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, 1.0 / 3.0]
+    INT_EXTREMES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1]
+
+    def _round_trip(self, tmp_path, **fields):
+        identity = {"kind": "cluster_checkpoint", "run_id": "codec"}
+        base = dict(
+            identity=identity, epoch=2, num_workers=2, num_shards=2,
+            shard_scheme="range", weights=np.zeros(3), rule="saga",
+        )
+        base.update(fields)
+        store = CheckpointStore(tmp_path)
+        store.save(ClusterCheckpoint(**base))
+        return store.load(identity, 2)
+
+    @pytest.mark.parametrize("dtype", ["float64", "int64"])
+    def test_round_trip_is_bit_exact(self, tmp_path, dtype):
         rng = np.random.default_rng(0)
-        if np.issubdtype(np.dtype(dtype), np.integer):
-            info = np.iinfo(dtype)
-            arr = rng.integers(info.min, info.max, size=257, dtype=dtype)
+        if dtype == "int64":
+            counters = np.array(
+                self.INT_EXTREMES + list(rng.integers(-(2**62), 2**62, size=5)), np.int64
+            )
+            loaded = self._round_trip(
+                tmp_path, counters=counters, shard_write_totals=counters[::-1].copy()
+            )
+            assert loaded.counters.dtype == np.int64
+            assert loaded.counters.tobytes() == counters.tobytes()
+            assert loaded.shard_write_totals.tobytes() == counters[::-1].tobytes()
         else:
-            arr = (rng.standard_normal(257) * 1e30).astype(dtype)
-        out = decode_array(encode_array(arr))
-        assert out.dtype == arr.dtype
-        assert out.shape == arr.shape
-        assert arr.tobytes() == out.tobytes()
+            weights = rng.standard_normal(257) * 1e30
+            loaded = self._round_trip(tmp_path, weights=weights)
+            assert loaded.weights.dtype == np.float64
+            assert loaded.weights.tobytes() == weights.tobytes()
 
-    def test_special_values_survive(self):
-        arr = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324])
-        out = decode_array(encode_array(arr))
-        assert arr.tobytes() == out.tobytes()
-
-    def test_2d_shape_preserved(self):
-        arr = np.arange(12, dtype=np.int64).reshape(3, 4)
-        out = decode_array(encode_array(arr))
-        assert out.shape == (3, 4)
-        np.testing.assert_array_equal(arr, out)
+    def test_special_values_survive(self, tmp_path):
+        special = np.array(self.EXTREMES)
+        series = EpochSeries(epoch_weights=[special, special[::-1].copy()])
+        loaded = self._round_trip(
+            tmp_path,
+            weights=np.append(special, np.nan),
+            rule_state={"saga_coefs": special[::-1].copy(), "saga_avg": special},
+            series=series,
+        )
+        assert loaded.weights[:-1].tobytes() == special.tobytes()
+        assert np.isnan(loaded.weights[-1])
+        assert loaded.rule_state["saga_coefs"].tobytes() == special[::-1].tobytes()
+        assert loaded.rule_state["saga_avg"].tobytes() == special.tobytes()
+        assert [w.tobytes() for w in loaded.series.epoch_weights] == [
+            special.tobytes(), special[::-1].tobytes()
+        ]
 
 
 class TestCheckpointStore:

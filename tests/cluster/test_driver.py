@@ -11,7 +11,7 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterDriver, compare_traces
+from repro.cluster import ClusterDriver
 from repro.core.balancing import random_order
 from repro.core.is_asgd import ISASGDSolver
 from repro.core.partition import partition_dataset
@@ -158,10 +158,16 @@ class TestClusterDriver:
             .fit(cluster_problem)
             .trace
         )
-        summary = compare_traces(measured, simulated)
-        assert summary["measured_iterations"] > 0
-        assert summary["simulated_iterations"] > 0
-        assert "conflict_rate_ratio" in summary
+        # Both tiers emit the same EpochEvent records over the same
+        # workload: one record per epoch, every shard sample once per epoch.
+        assert len(measured.epochs) == len(simulated.epochs) == 2
+        assert measured.total_iterations == simulated.total_iterations
+        assert measured.total_iterations == 2 * cluster_problem.n_samples
+        # The cluster flags at most one conflict per sample; the simulator
+        # counts every stale coordinate, and 4 workers at delay <= 3 on 150
+        # features always collide somewhere.
+        assert 0.0 <= measured.conflict_rate() <= 1.0
+        assert simulated.conflict_rate() > 0.0
 
     def test_single_worker_runs(self, cluster_problem):
         part = _partition(cluster_problem, workers=1)

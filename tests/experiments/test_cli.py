@@ -149,6 +149,52 @@ class TestReport:
         assert "optimum_speedup_over_asgd" in headline
 
 
+class TestCorruptArtifact:
+    """One truncated artifact must not wedge run, list or report."""
+
+    RUN = ("run", "--dataset", "news20_smoke", "--solver", "sgd", "--epochs", "2")
+
+    def _truncate_one(self, capsys, store):
+        code, _, _ = _run(capsys, *SWEEP, "--store", store)
+        assert code == 0
+        path = sorted(ArtifactStore(store).root.glob("*.json"))[0]
+        path.write_text(path.read_text()[:100])
+        return path
+
+    def test_run_retrains_over_a_corrupt_artifact(self, tmp_path, capsys, caplog):
+        store = str(tmp_path / "store")
+        code, out, _ = _run(capsys, *self.RUN, "--store", store)
+        assert code == 0
+        path = next(ArtifactStore(store).root.glob("*.json"))
+        path.write_text(path.read_text()[:100])
+        with caplog.at_level("WARNING", logger="repro"):
+            code, out, _ = _run(capsys, *self.RUN, "--store", store)
+        assert code == 0
+        assert "trained" in out and "reused" not in out
+        assert "unreadable artifact" in caplog.text
+        code, out, _ = _run(capsys, *self.RUN, "--store", store)  # repaired
+        assert code == 0
+        assert "reused from store" in out
+
+    def test_list_skips_a_corrupt_artifact(self, tmp_path, capsys, caplog):
+        store = str(tmp_path / "store")
+        self._truncate_one(capsys, store)
+        with caplog.at_level("WARNING", logger="repro"):
+            code, out, _ = _run(capsys, "list", "--store", store, "--json")
+        assert code == 0
+        assert len(json.loads(out)) == 3
+        assert "skipped 1 unreadable artifact(s)" in caplog.text
+
+    def test_report_skips_a_corrupt_artifact(self, tmp_path, capsys, caplog):
+        store = str(tmp_path / "store")
+        self._truncate_one(capsys, store)
+        with caplog.at_level("WARNING", logger="repro"):
+            code, out, _ = _run(capsys, "report", "--store", store)
+        assert code == 0
+        assert "3 stored runs" in out
+        assert "skipped 1 unreadable artifact(s)" in caplog.text
+
+
 class TestBench:
     def test_bench_records_warm_reuse(self, tmp_path, capsys):
         output = tmp_path / "BENCH_cli.json"
@@ -352,6 +398,40 @@ class TestServe:
         assert responses[0]["id"] == "before" and "margin" in responses[0]
         assert "error" in responses[1]
         assert responses[2]["id"] == "after" and "margin" in responses[2]
+
+    def test_serve_overflowing_margin_keeps_one_line_per_query(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import io
+
+        from repro.metrics.tracing import RunRecord
+
+        def _reject(constant):
+            raise ValueError(f"non-JSON constant {constant} in serve output")
+
+        store_dir = str(tmp_path / "store")
+        self._train(capsys, store_dir)
+        store = ArtifactStore(store_dir)
+        key = store.keys()[0]
+        entry = store.load_entry(key)
+        record = RunRecord.from_dict(entry["record"])
+        record.info["weights"] = [1.0] * len(record.info["weights"])
+        store.save(key, record, entry["identity"])
+        lines = (
+            '{"indices": [1], "values": [0.5], "id": "before"}\n'
+            '{"indices": [1, 2], "values": [1e308, 1e308], "id": "overflow"}\n'
+            '{"indices": [2], "values": [-0.25], "id": "after"}\n'
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        code, out, _ = _run(
+            capsys, "serve", "--key", key, "--store", store_dir, "--no-watch",
+        )
+        assert code == 0
+        responses = [json.loads(line, parse_constant=_reject) for line in out.splitlines()]
+        assert [r["id"] for r in responses] == ["before", "overflow", "after"]
+        assert responses[0]["margin"] == 0.5
+        assert "not finite" in responses[1]["error"]
+        assert responses[2]["margin"] == -0.25
 
     def test_serve_limit_stops_reading(self, tmp_path, capsys, monkeypatch):
         import io

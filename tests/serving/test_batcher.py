@@ -128,6 +128,23 @@ def test_narrowing_swap_fails_only_the_stale_query():
     assert response["margin"] == pytest.approx(3.0 + 0.5 * 8.0)
 
 
+def test_overflowing_margin_fails_only_that_query():
+    """Finite values whose dot product overflows get a per-request error;
+    the co-batched queries are still answered and nothing is cached."""
+    model = ScoringModel(np.ones(2), make_objective("logistic_l1"))
+    with MicroBatcher(model, lanes=1, max_batch=8, max_delay_us=0.0, cache_size=8) as batcher:
+        with batcher._cond:  # queue all three so they share one batch
+            before = batcher.submit([0], [0.5])
+            overflow = batcher.submit([0, 1], [1e308, 1e308])
+            after = batcher.submit([1], [-0.25])
+        assert before.result(timeout=10.0)["margin"] == 0.5
+        with pytest.raises(ValueError, match="margin is not finite"):
+            overflow.result(timeout=10.0)
+        assert after.result(timeout=10.0)["margin"] == -0.25
+        assert len(batcher.cache) == 2
+    assert batcher.stats()["batches"] == 1
+
+
 def test_submit_after_close_raises(served):
     X, model = served
     batcher = MicroBatcher(model)

@@ -93,6 +93,14 @@ class TestFileRoundtrip:
         X2, y2 = load_libsvm(path, n_features=3)
         np.testing.assert_allclose(X2.to_dense(), X.to_dense())
 
+    def test_zero_based_file_rejected_by_name(self, tmp_path):
+        path = tmp_path / "zero.libsvm"
+        path.write_text("1 0:2.0 3:1.0\n")
+        with pytest.raises(ValueError, match=">= 1"):
+            load_libsvm(path)
+        with pytest.raises(TypeError, match="zero_based"):
+            load_libsvm(path, zero_based=True)
+
     def test_save_mismatched_labels(self, tmp_path):
         X, _ = self._example()
         with pytest.raises(ValueError):
